@@ -9,6 +9,7 @@
 #include "crypto/keychain.h"
 #include "crypto/multisig.h"
 #include "crypto/reed_solomon.h"
+#include "crypto/sha256_kernels.h"
 #include "dag/dag_store.h"
 #include "rbc/quorum.h"
 #include "stats/clan_sizing.h"
@@ -17,12 +18,30 @@
 namespace clandag {
 namespace {
 
+// Hashing and MAC runs carry the compression kernel CPUID picked, so a
+// result says which path the host ran.
+void LabelKernel(benchmark::State& state) {
+  state.SetLabel(sha256_kernels::ActiveName());
+}
+
+// One block of data plus a padding block: the cost of a short digest.
+void BM_Sha256_64B(benchmark::State& state) {
+  Bytes data(64, 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256::Hash(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
+  LabelKernel(state);
+}
+BENCHMARK(BM_Sha256_64B);
+
 void BM_Sha256_1KB(benchmark::State& state) {
   Bytes data(1024, 0xab);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::Hash(data));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+  LabelKernel(state);
 }
 BENCHMARK(BM_Sha256_1KB);
 
@@ -33,6 +52,7 @@ void BM_Sha256_3MB_Proposal(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.size()));
+  LabelKernel(state);
 }
 BENCHMARK(BM_Sha256_3MB_Proposal);
 
@@ -42,8 +62,27 @@ void BM_HmacSign(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(keychain.Sign(0, msg));
   }
+  LabelKernel(state);
 }
 BENCHMARK(BM_HmacSign);
+
+// Checking one 64-byte authenticator: Arg 1 through the cached key schedule
+// (what Keychain::Verify does), Arg 0 one-shot, re-hashing both key pads.
+void BM_HmacKeyVerify(benchmark::State& state) {
+  const bool cached = state.range(0) != 0;
+  const Bytes key(32, 0x5c);
+  const HmacKey schedule(key);
+  Bytes msg(64, 0x11);
+  const Sha256::DigestBytes expected = schedule.Mac(msg);
+  for (auto _ : state) {
+    const Sha256::DigestBytes mac =
+        cached ? schedule.Mac(msg)
+               : HmacSha256(key, msg);  // lint:allow(hmac-per-call-key): the one-shot baseline
+    benchmark::DoNotOptimize(mac == expected);
+  }
+  LabelKernel(state);
+}
+BENCHMARK(BM_HmacKeyVerify)->ArgName("cached")->Arg(0)->Arg(1);
 
 void BM_MultiSigVerify(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
@@ -59,6 +98,7 @@ void BM_MultiSigVerify(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sig.Verify(keychain, msg));
   }
+  LabelKernel(state);
 }
 BENCHMARK(BM_MultiSigVerify)->Arg(50)->Arg(150);
 

@@ -404,6 +404,13 @@ void VertexDisseminator::OnCert(NodeId from, const Bytes& payload) {
   if (!msg.has_value() || msg->sender >= config_.num_nodes || msg->round < prune_floor_) {
     return;
   }
+  // ProcessCert drops a cert for an instance that already has its quorum,
+  // and neither flag ever clears, so skip the checks and the multisig HMACs.
+  // FindInstance: a redundant or bogus cert must not create an instance.
+  if (const Instance* inst = FindInstance(msg->sender, msg->round);
+      inst != nullptr && (inst->completed || inst->awaiting_vertex)) {
+    return;
+  }
   // Structural checks are cheap and stay on this thread; only the multisig
   // evaluation (one HMAC per signer) is worth shipping to the pool.
   if (msg->sig.Count() < config_.Quorum()) {

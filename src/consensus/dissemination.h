@@ -102,6 +102,8 @@ class VertexDisseminator {
   bool HasBlock(NodeId source, Round round) const;
   const BlockInfo* GetBlock(NodeId source, Round round) const;
   bool HasCompleted(NodeId source, Round round) const;
+  // Instances tracked, below-floor ones already pruned.
+  size_t NumInstances() const { return instances_.size(); }
 
   // Drops bookkeeping for instances below `round` (post-commit GC).
   void PruneBelow(Round round);

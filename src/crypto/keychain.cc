@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/codec.h"
-#include "crypto/hmac.h"
 
 namespace clandag {
 
@@ -15,25 +14,20 @@ Keychain::Keychain(uint64_t system_seed, uint32_t num_parties) {
     w.U32(i);
     Sha256::DigestBytes key = Sha256::Hash(w.Buffer());
     // bounded: exactly num_parties keys, fixed at construction.
-    keys_.emplace_back(key.begin(), key.end());
+    keys_.emplace_back(Bytes(key.begin(), key.end()));
   }
 }
 
 Signature Keychain::Sign(NodeId signer, const Bytes& message) const {
   CLANDAG_CHECK(signer < keys_.size());
-  return Signature{Digest(HmacSha256(keys_[signer], message))};
+  return Signature{Digest(keys_[signer].Mac(message))};
 }
 
 bool Keychain::Verify(NodeId signer, const Bytes& message, const Signature& sig) const {
   if (signer >= keys_.size()) {
     return false;
   }
-  return Digest(HmacSha256(keys_[signer], message)) == sig.mac;
-}
-
-const Bytes& Keychain::KeyOf(NodeId id) const {
-  CLANDAG_CHECK(id < keys_.size());
-  return keys_[id];
+  return Digest(keys_[signer].Mac(message)) == sig.mac;
 }
 
 }  // namespace clandag

@@ -15,6 +15,7 @@
 
 #include "common/bytes.h"
 #include "crypto/digest.h"
+#include "crypto/hmac.h"
 
 namespace clandag {
 
@@ -32,7 +33,8 @@ struct Signature {
 
 // Holds the signing keys of all n parties, derived deterministically from a
 // system seed. Every node instantiates the same keychain (the simulation
-// equivalent of a PKI setup ceremony).
+// equivalent of a PKI setup ceremony). Each key is kept as an HmacKey, so a
+// short authenticator costs two compressions instead of four.
 class Keychain {
  public:
   Keychain(uint64_t system_seed, uint32_t num_parties);
@@ -42,11 +44,8 @@ class Keychain {
   Signature Sign(NodeId signer, const Bytes& message) const;
   [[nodiscard]] bool Verify(NodeId signer, const Bytes& message, const Signature& sig) const;
 
-  // Exposed so MultiSig can aggregate per-signer authenticators.
-  const Bytes& KeyOf(NodeId id) const;
-
  private:
-  std::vector<Bytes> keys_;
+  std::vector<HmacKey> keys_;
 };
 
 }  // namespace clandag

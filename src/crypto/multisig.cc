@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "common/codec.h"
-#include "crypto/hmac.h"
 
 namespace clandag {
 
@@ -84,9 +83,10 @@ bool MultiSig::Verify(const Keychain& keychain, const Bytes& message) const {
     if (id >= keychain.num_parties()) {
       return false;
     }
-    Sha256::DigestBytes mac = HmacSha256(keychain.KeyOf(id), message);
+    // Recompute the signer's authenticator under its cached key schedule.
+    const Signature part = keychain.Sign(id, message);
     for (size_t i = 0; i < expected.size(); ++i) {
-      expected[i] ^= mac[i];
+      expected[i] ^= part.mac.bytes()[i];
     }
   }
   return Digest(expected) == aggregate_;

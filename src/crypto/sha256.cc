@@ -1,122 +1,66 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_kernels.h"
+
 namespace clandag {
-
-namespace {
-
-constexpr uint32_t kRoundConstants[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2,
-};
-
-inline uint32_t Rotr(uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
-}
-
-}  // namespace
 
 Sha256::Sha256() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0];
-  uint32_t b = state_[1];
-  uint32_t c = state_[2];
-  uint32_t d = state_[3];
-  uint32_t e = state_[4];
-  uint32_t f = state_[5];
-  uint32_t g = state_[6];
-  uint32_t h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::ProcessBlocks(const uint8_t* data, size_t nblocks) {
+  sha256_kernels::Active()(state_.data(), data, nblocks);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      // Fast path: process directly from the input.
-      ProcessBlock(data);
-      data += 64;
-      len -= 64;
-      continue;
-    }
+  if (buffer_len_ > 0) {
     size_t take = std::min<size_t>(64 - buffer_len_, len);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    if (buffer_len_ < 64) {
+      return;
     }
+    ProcessBlocks(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks straight from the input; the tail waits in the buffer.
+  const size_t nblocks = len / 64;
+  if (nblocks > 0) {
+    ProcessBlocks(data, nblocks);
+    data += 64 * nblocks;
+    len -= 64 * nblocks;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
 Sha256::DigestBytes Sha256::Finalize() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  const uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  // The 8-byte length trailer needs bytes 56..63 of the last block; when the
+  // 0x80 marker landed past byte 56, pad out this block and add one more.
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlocks(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
   }
-  // Bypass total_len_ accounting for the length trailer.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
-  ProcessBlock(buffer_.data());
+  ProcessBlocks(buffer_.data(), 1);
   buffer_len_ = 0;
 
   DigestBytes out;

@@ -1,5 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch — the environment is offline
-// and the library must not depend on a system crypto package.
+// and the library must not depend on a system crypto package. Whole blocks go
+// to a compression kernel picked once per process by CPUID: the x86-64 SHA
+// extensions when present, else a portable scalar kernel (sha256_kernels.h).
 
 #ifndef CLANDAG_CRYPTO_SHA256_H_
 #define CLANDAG_CRYPTO_SHA256_H_
@@ -29,7 +31,7 @@ class Sha256 {
   static DigestBytes Hash(const Bytes& data) { return Hash(data.data(), data.size()); }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  void ProcessBlocks(const uint8_t* data, size_t nblocks);
 
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "common/codec.h"
 #include "common/hex.h"
 #include "crypto/digest.h"
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
 #include "crypto/multisig.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 
 namespace clandag {
 namespace {
@@ -72,6 +77,99 @@ TEST(Sha256, ExactBlockBoundaryLengths) {
   }
 }
 
+// Chunk sizes that cross block boundaries in every way; SIZE_MAX feeds the
+// whole input at once (the many-blocks-per-call path).
+const size_t kChunkings[] = {1, 7, 63, 64, 65, 129, SIZE_MAX};
+
+Bytes RandomBytes(std::mt19937& rng, size_t len) {
+  Bytes out(len);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng());
+  }
+  return out;
+}
+
+// SHA-256 over one kernel, independent of Sha256's own buffering and
+// padding: pads byte by byte per FIPS 180-4, then feeds the padded message
+// in `chunk`-byte pieces, handing the kernel every run of whole blocks.
+Sha256::DigestBytes HashWithKernel(sha256_kernels::Kernel kernel, const Bytes& data,
+                                   size_t chunk) {
+  Bytes padded = data;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) {
+    padded.push_back(0x00);
+  }
+  const uint64_t bit_len = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes pending;
+  size_t off = 0;
+  while (off < padded.size()) {
+    const size_t len = std::min(chunk, padded.size() - off);
+    pending.insert(pending.end(), padded.begin() + off, padded.begin() + off + len);
+    off += len;
+    const size_t whole = pending.size() / 64;
+    if (whole > 0) {
+      kernel(state, pending.data(), whole);
+      pending.erase(pending.begin(), pending.begin() + 64 * whole);
+    }
+  }
+  EXPECT_TRUE(pending.empty());
+  Sha256::DigestBytes out;
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+// Sha256's streaming path (active kernel, one-step padding) fed in `chunk`s.
+Sha256::DigestBytes HashStreaming(const Bytes& data, size_t chunk) {
+  Sha256 h;
+  size_t off = 0;
+  while (off < data.size()) {
+    const size_t len = std::min(chunk, data.size() - off);
+    h.Update(data.data() + off, len);
+    off += len;
+  }
+  return h.Finalize();
+}
+
+// The scalar kernel runs on every host, so it is checked on every host.
+TEST(Sha256Kernels, ScalarMatchesStreaming) {
+  std::mt19937 rng(1);
+  for (size_t len = 0; len <= 1100; ++len) {
+    const Bytes data = RandomBytes(rng, len);
+    const Sha256::DigestBytes expected = Sha256::Hash(data);
+    for (size_t chunk : kChunkings) {
+      ASSERT_EQ(HashWithKernel(sha256_kernels::Scalar, data, chunk), expected)
+          << "length " << len << " chunk " << chunk;
+      ASSERT_EQ(HashStreaming(data, chunk), expected) << "length " << len << " chunk " << chunk;
+    }
+  }
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalar) {
+  const sha256_kernels::Kernel shani = sha256_kernels::ShaNi();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  EXPECT_STREQ(sha256_kernels::ActiveName(), "sha-ni");
+  std::mt19937 rng(2);
+  for (size_t len = 0; len <= 1100; ++len) {
+    const Bytes data = RandomBytes(rng, len);
+    for (size_t chunk : kChunkings) {
+      ASSERT_EQ(HashWithKernel(shani, data, chunk),
+                HashWithKernel(sha256_kernels::Scalar, data, chunk))
+          << "length " << len << " chunk " << chunk;
+    }
+  }
+}
+
 // RFC 4231 test case 1.
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
@@ -106,6 +204,23 @@ TEST(Hmac, LongKeyIsHashed) {
   auto mac = HmacSha256(key, data);
   EXPECT_EQ(HexEncode(mac.data(), mac.size()),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// The cached key schedule gives the one-shot bytes for empty, short,
+// block-sized and longer-than-a-block keys (the last are hashed first).
+TEST(HmacKey, MacMatchesOneShot) {
+  std::mt19937 rng(3);
+  for (size_t key_len : {0u, 20u, 32u, 64u, 65u, 131u}) {
+    const Bytes key = RandomBytes(rng, key_len);
+    const HmacKey schedule(key);
+    for (size_t len : {0u, 1u, 55u, 56u, 64u, 100u, 1000u}) {
+      const Bytes data = RandomBytes(rng, len);
+      EXPECT_EQ(schedule.Mac(data), HmacSha256(key, data))
+          << "key length " << key_len << " data length " << len;
+      // Mac() leaves the schedule as it was.
+      EXPECT_EQ(schedule.Mac(data), HmacSha256(key, data));
+    }
+  }
 }
 
 TEST(Digest, OfAndHexRoundTrip) {
@@ -170,6 +285,31 @@ TEST(Keychain, DifferentSeedsDiffer) {
   Keychain b(2, 4);
   Bytes msg = ToBytes("x");
   EXPECT_FALSE(a.Sign(0, msg) == b.Sign(0, msg));
+}
+
+// Signatures are HMAC-SHA256 under Sha256("clandag-key" || seed || id),
+// byte-identical to computing that one-shot on every call.
+TEST(Keychain, SignaturesMatchOneShotHmac) {
+  Keychain keychain(7, 4);
+  std::mt19937 rng(4);
+  for (NodeId id = 0; id < 4; ++id) {
+    Writer w;
+    w.Str("clandag-key");
+    w.U64(7);
+    w.U32(id);
+    const Sha256::DigestBytes derived = Sha256::Hash(w.Buffer());
+    const Bytes key(derived.begin(), derived.end());
+    for (size_t len : {0u, 32u, 100u, 1000u}) {
+      const Bytes msg = RandomBytes(rng, len);
+      EXPECT_EQ(keychain.Sign(id, msg).mac, Digest(HmacSha256(key, msg)))
+          << "signer " << id << " length " << len;
+    }
+  }
+  // Pinned values, so the key derivation cannot drift with the MAC.
+  EXPECT_EQ(keychain.Sign(0, ToBytes("keychain golden")).mac.ToHex(),
+            "27bda05043bf75da11ae72c6da736dd7266f9739debd9755b599aa3829975d9d");
+  EXPECT_EQ(keychain.Sign(3, ToBytes("keychain golden")).mac.ToHex(),
+            "57fef2d4e5481f5b6ad0c1f536a4a59b5e0c99cff1979c779282fba3f18165ae");
 }
 
 TEST(SignerBitmap, SetTestCount) {

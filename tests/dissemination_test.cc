@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "consensus/dissemination.h"
+#include "rbc/wire.h"
 #include "sim/network.h"
 
 namespace clandag {
@@ -69,6 +70,7 @@ class DissemCluster {
   void Run(TimeMicros t = Seconds(5)) { scheduler_.RunUntil(t); }
 
   VertexDisseminator& dissem(NodeId id) { return *dissems_[id]; }
+  const Keychain& keychain() const { return keychain_; }
   SimRuntime& runtime(NodeId id) { return *runtimes_[id]; }
   const Events& events(NodeId id) const { return events_[id]; }
   SimNetwork& network() { return network_; }
@@ -229,6 +231,47 @@ TEST(Dissemination, HasBlockAndGetBlock) {
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->tx_count, 77u);
   EXPECT_FALSE(cluster.dissem(0).HasBlock(2, 4));
+}
+
+TEST(Dissemination, CorruptCertChangesNothing) {
+  // A cert for an instance that already has its quorum is dropped before its
+  // multisig is checked, so a corrupted aggregate there must be as harmless
+  // as a valid one. For an unknown instance the check rejects it, and no
+  // instance is left behind.
+  const uint32_t n = 4;
+  DissemCluster cluster(n, ClanTopology::Full(n));
+  std::optional<BlockInfo> block;
+  Vertex v = cluster.MakeVertex(0, 1, &block);
+  cluster.dissem(0).Propose(v, block);
+  cluster.Run(Seconds(2));
+  ASSERT_TRUE(cluster.dissem(1).HasCompleted(0, 1));
+
+  // Every party "signs", but over the wrong message: a corrupted aggregate.
+  auto corrupt_cert = [&](NodeId source, Round round) {
+    RbcCertMsg msg;
+    msg.sender = source;
+    msg.round = round;
+    msg.digest = Digest::Of(ToBytes("some vertex"));
+    SignerBitmap signers(n);
+    std::vector<Signature> parts;
+    for (NodeId id = 0; id < n; ++id) {
+      signers.Set(id);
+      parts.push_back(cluster.keychain().Sign(id, ToBytes("not the echo statement")));
+    }
+    msg.sig = MultiSig::Aggregate(signers, parts);
+    return msg.Encode();
+  };
+  const size_t completions = cluster.events(1).completed.size();
+  const size_t instances = cluster.dissem(1).NumInstances();
+
+  cluster.dissem(1).HandleMessage(2, kConsCert, corrupt_cert(0, 1));
+  EXPECT_TRUE(cluster.dissem(1).HasCompleted(0, 1));
+  EXPECT_EQ(cluster.events(1).completed.size(), completions);
+  EXPECT_EQ(cluster.dissem(1).NumInstances(), instances);
+
+  cluster.dissem(1).HandleMessage(2, kConsCert, corrupt_cert(3, 7));
+  EXPECT_FALSE(cluster.dissem(1).HasCompleted(3, 7));
+  EXPECT_EQ(cluster.dissem(1).NumInstances(), instances);
 }
 
 }  // namespace

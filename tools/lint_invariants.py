@@ -4,6 +4,11 @@ compiler nor clang-tidy can express. Run in CI, as a ctest (`lint_invariants`),
 or directly:
 
     python3 tools/lint_invariants.py [--root REPO_ROOT]
+    python3 tools/lint_invariants.py --self-test
+
+--self-test runs each rule that has fixtures under tools/lint_fixtures/
+(<rule>_pos.cc must be flagged, <rule>_neg.cc must pass) and exits
+non-zero if a rule misses its positive or flags its negative.
 
 Rules
 -----
@@ -78,6 +83,13 @@ nolint-justification
     encode safety arguments (DESIGN.md §10); silencing one silently is how
     a quorum bug ships.
 
+hmac-per-call-key
+    No `HmacSha256(` call outside src/crypto/ and tests/. The one-shot MAC
+    re-hashes the key's ipad and opad blocks on every call, doubling the
+    cost of a short authenticator; protocol code authenticates through
+    Keychain (or an HmacKey, which caches both key schedules). The crypto
+    layer defines the one-shot form and tests use it as the reference.
+
 A finding can be waived on its line with `// lint:allow(<rule-name>)` plus a
 reason; waivers are expected to be rare and reviewed.
 """
@@ -137,6 +149,15 @@ THREAD_SPAWN_RE = re.compile(r"std::jthread\b|std::thread\b(?!::)")
 # recurse into itself.
 THREAD_SPAWN_EXEMPT_PREFIXES = ("src/common/thread.h", "src/testing/sct/")
 
+# A call of the one-shot HMAC. Scanned in every C++ tree but tests/; the
+# crypto layer and the linter's own fixtures are exempt.
+HMAC_CALL_RE = re.compile(r"\bHmacSha256\s*\(")
+HMAC_SCAN_DIRS = ("src", "bench", "examples", "perfbench", "tools")
+HMAC_EXEMPT_PREFIXES = ("src/crypto/", "tools/lint_fixtures/")
+CXX_SUFFIXES = {".h", ".cc", ".cpp"}
+
+FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
+
 
 def strip_comments(line: str) -> str:
     """Drops // comments; good enough for rule matching (no /* */ in repo style)."""
@@ -191,6 +212,25 @@ class Linter:
                         f"'{m.group(0)}' bypasses clandag::Thread "
                         f"(common/thread.h); a naked spawn is invisible to "
                         f"the SCT schedule explorer",
+                        line)
+
+    # -- Rule: hmac-per-call-key --------------------------------------------
+    def check_hmac_per_call_key(self, paths=None):
+        if paths is None:
+            paths = [p for top in HMAC_SCAN_DIRS
+                     for p in sorted((self.root / top).rglob("*"))
+                     if p.suffix in CXX_SUFFIXES and p.is_file()]
+        for path in paths:
+            if _path_exempt(str(path.relative_to(self.root)),
+                            HMAC_EXEMPT_PREFIXES):
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if HMAC_CALL_RE.search(strip_comments(line)):
+                    self.report(
+                        "hmac-per-call-key", path, lineno,
+                        "one-shot HmacSha256 re-hashes the key pads per call; "
+                        "authenticate through Keychain or a cached HmacKey "
+                        "(crypto/hmac.h)",
                         line)
 
     # -- Rules: decode-bounds + decode-fuzz-coverage ------------------------
@@ -385,14 +425,46 @@ class Linter:
         self.check_ingress_queue_caps()
         self.check_pool_capacity_contracts()
         self.check_threading_contracts()
+        self.check_hmac_per_call_key()
         return self.findings
+
+
+# Rules with fixtures, by the name their fixture files carry.
+FIXTURE_RULES = {
+    "hmac_per_call_key": Linter.check_hmac_per_call_key,
+}
+
+
+def self_test():
+    failures = []
+    for name, check in FIXTURE_RULES.items():
+        for kind, want_findings in (("pos", True), ("neg", False)):
+            fixture = FIXTURE_DIR / f"{name}_{kind}.cc"
+            linter = Linter(FIXTURE_DIR)
+            check(linter, [fixture])
+            if bool(linter.findings) != want_findings:
+                failures.append(f"{fixture.name}: expected "
+                                f"{'findings' if want_findings else 'none'}, got "
+                                f"{linter.findings or 'none'}")
+    for f in failures:
+        print(f)
+    if failures:
+        print(f"\nlint_invariants self-test: {len(failures)} failure(s)",
+              file=sys.stderr)
+        return 1
+    print(f"lint_invariants self-test: {len(FIXTURE_RULES)} rule(s) ok")
+    return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the rules against tools/lint_fixtures/")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
     findings = Linter(args.root.resolve()).run()
     for f in findings:
         print(f)
