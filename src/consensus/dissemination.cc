@@ -374,7 +374,7 @@ void VertexDisseminator::OnReady(NodeId from, const Bytes& payload) {
     return;
   }
   auto msg = RbcVoteMsg::Decode(payload);
-  if (!msg.has_value() || msg->sender >= config_.num_nodes) {
+  if (!msg.has_value() || msg->sender >= config_.num_nodes || msg->round < prune_floor_) {
     return;
   }
   Instance& inst = GetInstance(msg->sender, msg->round);

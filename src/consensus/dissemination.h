@@ -199,8 +199,8 @@ class VertexDisseminator {
   DisseminationConfig config_;
   DisseminationCallbacks callbacks_;
   std::unordered_map<std::pair<NodeId, Round>, Instance, InstanceKeyHash> instances_;
-  // Rounds below this were pruned after commit. Messages for them are
-  // dropped instead of resurrecting an Instance — essential with a verify
+  // Rounds below this were pruned after commit. ECHO, READY and cert
+  // messages for them are dropped instead of resurrecting an Instance — essential with a verify
   // pool, where a message can come back from the workers after the commit
   // that made it irrelevant already pruned its round.
   Round prune_floor_ = 0;

@@ -1,45 +1,6 @@
 #include "rbc/wire.h"
 
-#include <algorithm>
-
-#include "rbc/config.h"
-
 namespace clandag {
-
-bool RbcConfig::InClan(NodeId id) const {
-  return std::binary_search(clan.begin(), clan.end(), id);
-}
-
-Bytes RbcValMsg::Encode() const {
-  Writer w;
-  w.U64(round);
-  digest.Serialize(w);
-  w.Bool(value.has_value());
-  if (value.has_value()) {
-    w.Blob(*value);
-  }
-  return w.Take();
-}
-
-std::optional<RbcValMsg> RbcValMsg::Decode(const Bytes& payload) {
-  Reader r(payload);
-  RbcValMsg m;
-  m.round = r.U64();
-  m.digest = Digest::Parse(r);
-  if (r.Bool()) {
-    m.value = r.Blob();
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-Bytes RbcVoteMsg::SignedMessage(MsgType type, NodeId sender, Round round, const Digest& digest) {
-  Writer w;
-  SignedMessageTo(w, type, sender, round, digest);
-  return w.Take();
-}
 
 void RbcVoteMsg::SignedMessageTo(Writer& w, MsgType type, NodeId sender, Round round,
                                  const Digest& digest) {
@@ -100,44 +61,6 @@ std::optional<RbcCertMsg> RbcCertMsg::Decode(const Bytes& payload) {
   m.round = r.U64();
   m.digest = Digest::Parse(r);
   m.sig = MultiSig::Parse(r);
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-Bytes RbcPullReqMsg::Encode() const {
-  Writer w;
-  w.U32(sender);
-  w.U64(round);
-  return w.Take();
-}
-
-std::optional<RbcPullReqMsg> RbcPullReqMsg::Decode(const Bytes& payload) {
-  Reader r(payload);
-  RbcPullReqMsg m;
-  m.sender = r.U32();
-  m.round = r.U64();
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-Bytes RbcPullRespMsg::Encode() const {
-  Writer w;
-  w.U32(sender);
-  w.U64(round);
-  w.Blob(value);
-  return w.Take();
-}
-
-std::optional<RbcPullRespMsg> RbcPullRespMsg::Decode(const Bytes& payload) {
-  Reader r(payload);
-  RbcPullRespMsg m;
-  m.sender = r.U32();
-  m.round = r.U64();
-  m.value = r.Blob();
   if (!r.ok() || !r.AtEnd()) {
     return std::nullopt;
   }

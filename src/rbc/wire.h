@@ -1,8 +1,11 @@
-// Wire messages for the standalone RBC engines.
+// Vote and certificate messages of the tribe-assisted RBC (paper Figures 2
+// and 3), as carried by the merged vertex+block broadcast in
+// consensus/dissemination.h under the kConsEcho / kConsReady / kConsCert
+// tags (consensus/wire.h).
 //
 // Instances are keyed by (sender, round): the designated sender of an
-// instance is authenticated by the channel (VAL arrives from the sender
-// itself) and ECHO/READY messages name the instance explicitly.
+// instance is authenticated by the channel (its VAL arrives from the sender
+// itself) and ECHO/READY/certificate messages name the instance explicitly.
 
 #ifndef CLANDAG_RBC_WIRE_H_
 #define CLANDAG_RBC_WIRE_H_
@@ -17,25 +20,7 @@
 
 namespace clandag {
 
-// Message type tags (100+ range; consensus uses 1..99).
-inline constexpr MsgType kRbcVal = 100;
-inline constexpr MsgType kRbcEcho = 101;
-inline constexpr MsgType kRbcReady = 102;
-inline constexpr MsgType kRbcCert = 103;
-inline constexpr MsgType kRbcPullReq = 104;
-inline constexpr MsgType kRbcPullResp = 105;
-
 using Round = uint64_t;
-
-// VAL: full value to clan members, digest-only to the rest of the tribe.
-struct RbcValMsg {
-  Round round = 0;
-  Digest digest;
-  std::optional<Bytes> value;  // Present iff the recipient is a clan member.
-
-  Bytes Encode() const;
-  [[nodiscard]] static std::optional<RbcValMsg> Decode(const Bytes& payload);
-};
 
 // ECHO / READY: (sender, round, digest) plus a signature in signed mode.
 struct RbcVoteMsg {
@@ -44,9 +29,8 @@ struct RbcVoteMsg {
   Digest digest;
   std::optional<Signature> sig;
 
-  // Bytes covered by the signature in signed mode.
-  static Bytes SignedMessage(MsgType type, NodeId sender, Round round, const Digest& digest);
-  // Same, into a caller-provided Writer (reusable scratch on the hot path).
+  // Bytes covered by the signature in signed mode, written into a
+  // caller-provided Writer (reusable scratch on the hot path).
   static void SignedMessageTo(Writer& w, MsgType type, NodeId sender, Round round,
                               const Digest& digest);
 
@@ -65,24 +49,6 @@ struct RbcCertMsg {
   Bytes Encode() const;
   void EncodeTo(Writer& w) const;
   [[nodiscard]] static std::optional<RbcCertMsg> Decode(const Bytes& payload);
-};
-
-// Download of a missing value from clan members.
-struct RbcPullReqMsg {
-  NodeId sender = 0;
-  Round round = 0;
-
-  Bytes Encode() const;
-  [[nodiscard]] static std::optional<RbcPullReqMsg> Decode(const Bytes& payload);
-};
-
-struct RbcPullRespMsg {
-  NodeId sender = 0;
-  Round round = 0;
-  Bytes value;
-
-  Bytes Encode() const;
-  [[nodiscard]] static std::optional<RbcPullRespMsg> Decode(const Bytes& payload);
 };
 
 }  // namespace clandag

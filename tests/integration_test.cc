@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/scenario.h"
 #include "stats/clan_sizing.h"
 
@@ -75,6 +77,50 @@ TEST(Scenario, DeterministicAcrossRuns) {
   EXPECT_EQ(a.committed_txs, b.committed_txs);
   EXPECT_DOUBLE_EQ(a.mean_latency_ms, b.mean_latency_ms);
   EXPECT_EQ(a.events_processed, b.events_processed);
+}
+
+// Same-seed identity gate: the integer modelled outcome of three small
+// fixed-seed runs, pinned. A change that leaves the protocol alone (a
+// refactor, a faster data structure) must reproduce every field exactly; a
+// change that moves one must re-pin it on purpose and say why.
+struct FingerprintPoint {
+  const char* name;
+  DisseminationMode mode;
+  uint32_t n;
+  RbcFlavor flavor;
+  // events_processed, ordered_vertices, committed_txs, last_committed_round,
+  // anchors_committed, anchors_skipped, sync.requests_sent.
+  std::array<uint64_t, 7> expected;
+};
+
+TEST(Scenario, SameSeedFingerprintsArePinned) {
+  const FingerprintPoint kPoints[] = {
+      {"full/n7/two-round", DisseminationMode::kFull, 7, RbcFlavor::kTwoRound,
+       {6047, 41, 1300, 6, 7, 0, 0}},
+      {"single-clan/n13/bracha", DisseminationMode::kSingleClan, 13, RbcFlavor::kBracha,
+       {32414, 78, 1350, 6, 7, 0, 0}},
+      {"multi-clan/n13/two-round", DisseminationMode::kMultiClan, 13, RbcFlavor::kTwoRound,
+       {35176, 76, 2450, 6, 7, 0, 0}},
+  };
+  for (const FingerprintPoint& p : kPoints) {
+    SCOPED_TRACE(p.name);
+    ScenarioOptions opts = BaseOptions(p.n);
+    opts.seed = 5;
+    opts.mode = p.mode;
+    opts.clan_size = (p.n / 2) | 1;
+    opts.num_clans = 2;
+    opts.flavor = p.flavor;
+    const ScenarioResult r = RunScenario(opts);
+    ASSERT_TRUE(r.ok) << r.error;
+    const std::array<uint64_t, 7> actual = {r.events_processed,
+                                            r.ordered_vertices,
+                                            r.committed_txs,
+                                            static_cast<uint64_t>(r.last_committed_round),
+                                            r.anchors_committed,
+                                            r.anchors_skipped,
+                                            r.sync.requests_sent};
+    EXPECT_EQ(actual, p.expected);
+  }
 }
 
 TEST(Scenario, CrashFaultsTolerated) {

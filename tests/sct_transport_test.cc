@@ -16,6 +16,7 @@
 #include "common/thread.h"
 #include "net/tcp_transport.h"
 #include "sct_test_util.h"
+#include "test_ports.h"
 #include "testing/sct/explore.h"
 
 namespace clandag {
@@ -34,21 +35,17 @@ class CountingHandler final : public MessageHandler {
   std::atomic<int> received_{0};
 };
 
-// Distinct port range: the suite may run in parallel with clandag_tests'
-// transport/chaos tests (base 19000+).
-constexpr uint16_t kSctBasePort = 24150;
-
 TEST(SctTransport, SendersRaceLoopThenStopThenRestart) {
   SCT_REQUIRE_BUILD();
   auto result = sct::Explore(
       {.strategy = Strategy::kRandomWalk,
        .seed = BaseSeed(),
        .schedules = 12 * DeepMultiplier()},
-      [] {
+      [base_port = test::FreeBasePort()] {
         TcpConfig cfg;
         cfg.id = 0;
         cfg.num_nodes = 2;  // Peer 1 never comes up: preconnect-buffer path.
-        cfg.base_port = kSctBasePort;
+        cfg.base_port = base_port;
         CountingHandler handler;
         auto payload = std::make_shared<const Bytes>(Bytes{1, 2, 3});
         {
@@ -92,11 +89,11 @@ TEST(SctTransport, SelfSendDeliversBeforeStop) {
       {.strategy = Strategy::kPct,
        .seed = BaseSeed(),
        .schedules = 8 * DeepMultiplier()},
-      [] {
+      [base_port = test::FreeBasePort()] {
         TcpConfig cfg;
         cfg.id = 0;
         cfg.num_nodes = 1;
-        cfg.base_port = static_cast<uint16_t>(kSctBasePort + 10);
+        cfg.base_port = base_port;
         CountingHandler handler;
         auto payload = std::make_shared<const Bytes>(Bytes{9});
         TcpRuntime rt(cfg, &handler);

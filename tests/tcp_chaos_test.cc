@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -20,6 +18,7 @@
 #include "core/byzantine.h"
 #include "fault/oracles.h"
 #include "net/tcp_transport.h"
+#include "test_ports.h"
 
 namespace clandag {
 namespace {
@@ -42,11 +41,6 @@ struct CountingHandler : MessageHandler {
   }
 };
 
-uint16_t PickBasePort(int salt) {
-  // Distinct from transport_test.cc's 21000 range.
-  return static_cast<uint16_t>(24000 + salt * 64 + (getpid() % 50) * 8);
-}
-
 TcpConfig MakeConfig(NodeId id, uint32_t n, uint16_t base_port) {
   TcpConfig config;
   config.id = id;
@@ -61,7 +55,7 @@ TcpConfig MakeConfig(NodeId id, uint32_t n, uint16_t base_port) {
 // connect, not silently dropped (the seed transport dropped them).
 TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
   constexpr int kMsgs = 25;
-  const uint16_t base_port = PickBasePort(0);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[2];
   TcpRuntime node0(MakeConfig(0, 2, base_port), &handlers[0]);
   node0.Start();
@@ -100,7 +94,7 @@ TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
 // shows up in a drop counter — the conservation law, end to end.
 TEST(TcpHardening, PartitionHealReconcilesCounters) {
   constexpr int kDownSends = 40;
-  const uint16_t base_port = PickBasePort(1);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler h0;
   CountingHandler h1a;
   TcpRuntime node0(MakeConfig(0, 2, base_port), &h0);
@@ -144,7 +138,7 @@ TEST(TcpHardening, PartitionHealReconcilesCounters) {
 
 // The pre-connect buffer is bounded: oldest frames are evicted and counted.
 TEST(TcpHardening, PreConnectBufferBoundedOldestEvicted) {
-  const uint16_t base_port = PickBasePort(2);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handler;
   TcpConfig config = MakeConfig(0, 2, base_port);
   config.max_preconnect_bytes = 512;  // A handful of frames.
@@ -166,7 +160,7 @@ TEST(TcpHardening, PreConnectBufferBoundedOldestEvicted) {
 // Dial retries back off exponentially: over one second against a dead peer,
 // a 20ms→200ms capped schedule attempts far fewer dials than flat-20ms would.
 TEST(TcpHardening, DialBackoffSlowsRetryStorm) {
-  const uint16_t base_port = PickBasePort(3);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handler;
   TcpRuntime node0(MakeConfig(0, 2, base_port), &handler);
   node0.Start();
@@ -188,11 +182,10 @@ TEST(TcpChaos, ByzantineSuiteOverTcpPreservesSafety) {
       ByzantineBehavior::kSilentLeader,
       ByzantineBehavior::kUnjustifiedLeader,
   };
-  int salt = 4;
   for (ByzantineBehavior behavior : kBehaviors) {
     constexpr uint32_t kNodes = 4;
     constexpr NodeId kByz = 1;
-    const uint16_t base_port = PickBasePort(salt++);
+    const uint16_t base_port = test::FreeBasePort();
     Keychain keychain(99, kNodes);
     ClanTopology topology = ClanTopology::Full(kNodes);
     SafetyOracle oracle(kNodes);

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -15,6 +13,7 @@
 #include "net/inproc_transport.h"
 #include "net/tcp_transport.h"
 #include "smr/execution.h"
+#include "test_ports.h"
 
 namespace clandag {
 namespace {
@@ -93,14 +92,9 @@ TEST(InProcCluster, ClockIsMonotonic) {
   cluster.Stop();
 }
 
-uint16_t PickBasePort(int salt) {
-  // Per-test port ranges to avoid collisions across tests in one run.
-  return static_cast<uint16_t>(21000 + salt * 64 + (getpid() % 50) * 8);
-}
-
 TEST(TcpTransport, MeshConnectsAndDelivers) {
   constexpr uint32_t kNodes = 3;
-  const uint16_t base_port = PickBasePort(0);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -126,7 +120,7 @@ TEST(TcpTransport, MeshConnectsAndDelivers) {
 
 TEST(TcpTransport, LargeFrameRoundTrips) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = PickBasePort(1);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -149,7 +143,7 @@ TEST(TcpTransport, LargeFrameRoundTrips) {
 }
 
 TEST(TcpTransport, SelfSendLoopsBack) {
-  const uint16_t base_port = PickBasePort(2);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handler;
   TcpConfig config;
   config.id = 0;
@@ -163,7 +157,7 @@ TEST(TcpTransport, SelfSendLoopsBack) {
 }
 
 TEST(TcpTransport, ScheduleRunsOnLoopThread) {
-  const uint16_t base_port = PickBasePort(3);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handler;
   TcpConfig config;
   config.id = 0;
@@ -228,7 +222,7 @@ TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
   constexpr uint32_t kNodes = 2;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 250;
-  const uint16_t base_port = PickBasePort(5);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -265,7 +259,7 @@ TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
 // never crash, and the eventfd stays valid for the object's whole lifetime.
 TEST(TcpTransport, StopWhileSendersRunning) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = PickBasePort(6);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -305,7 +299,7 @@ TEST(TcpTransport, StopWhileSendersRunning) {
 // mesh must reconnect and deliver again.
 TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = PickBasePort(7);
+  const uint16_t base_port = test::FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -359,7 +353,7 @@ TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
 // client transactions and execute them identically.
 TEST(TcpTransport, FourNodeConsensusCommits) {
   constexpr uint32_t kNodes = 4;
-  const uint16_t base_port = PickBasePort(4);
+  const uint16_t base_port = test::FreeBasePort();
   Keychain keychain(77, kNodes);
   ClanTopology topology = ClanTopology::Full(kNodes);
 

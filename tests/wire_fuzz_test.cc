@@ -54,15 +54,6 @@ void FuzzMutations(const Bytes& valid, Fn&& decode) {
   }
 }
 
-TEST(WireFuzz, RbcValMsg) {
-  FuzzRandom(1, [](const Bytes& b) { (void)RbcValMsg::Decode(b); });
-  RbcValMsg msg;
-  msg.round = 7;
-  msg.digest = Digest::Of(ToBytes("x"));
-  msg.value = ToBytes("some value");
-  FuzzMutations(msg.Encode(), [](const Bytes& b) { (void)RbcValMsg::Decode(b); });
-}
-
 TEST(WireFuzz, RbcVoteMsg) {
   FuzzRandom(2, [](const Bytes& b) { (void)RbcVoteMsg::Decode(b); });
   RbcVoteMsg msg;
@@ -90,8 +81,6 @@ TEST(WireFuzz, RbcCertMsg) {
 }
 
 TEST(WireFuzz, PullMsgs) {
-  FuzzRandom(4, [](const Bytes& b) { (void)RbcPullReqMsg::Decode(b); });
-  FuzzRandom(5, [](const Bytes& b) { (void)RbcPullRespMsg::Decode(b); });
   FuzzRandom(6, [](const Bytes& b) { (void)ConsPullMsg::Decode(b); });
 }
 
