@@ -25,10 +25,8 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
-#include "core/app_node.h"
+#include "core/cluster.h"
 #include "ingress/load_gen.h"
-#include "net/tcp_transport.h"
-#include "sim/network.h"
 
 using namespace clandag;
 using namespace clandag::bench;
@@ -71,10 +69,16 @@ LoadGenOptions MakeLoadGen(NodeId id, double per_node_tps, uint32_t clients) {
   return options;
 }
 
-AppNodeOptions MakeNodeOptions() {
-  AppNodeOptions options;
-  options.consensus.num_nodes = kNodes;
-  options.consensus.num_faults = 1;
+// Both runtimes run the same four nodes with the same ingress tuning.
+Cluster::Options ClusterOptions(Cluster::Kind kind) {
+  Cluster::Options options;
+  options.kind = kind;
+  options.num_nodes = kNodes;
+  options.sim_latency = Millis(5);
+  return options;
+}
+
+void ConfigureNode(AppNodeOptions& options) {
   options.consensus.round_timeout = Seconds(1);
   options.enable_ingress = true;
   options.ingress.batcher.max_batch_wait = Millis(20);
@@ -84,7 +88,6 @@ AppNodeOptions MakeNodeOptions() {
   // instead of queuing (the bounded-memory contract under overload).
   options.ingress.batcher.max_batch_bytes = 16 << 10;
   options.ingress.admission.global_byte_budget = 2 << 20;
-  return options;
 }
 
 double PercentileMs(std::vector<TimeMicros>& samples, double p) {
@@ -129,41 +132,27 @@ IngressPoint RunSimPoint(double per_node_tps, const SweepConfig& config) {
   point.offered_tps = per_node_tps * kNodes;
   point.duration_s = static_cast<double>(config.duration) / 1e6;
 
-  Scheduler scheduler;
-  Keychain keychain(5, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
-  SimNetwork network(scheduler, LatencyMatrix::Uniform(kNodes, Millis(5)), NetworkConfig{1e9, 0});
-
-  std::vector<std::unique_ptr<SimRuntime>> runtimes;
-  std::vector<std::unique_ptr<AppNode>> apps;
   std::vector<std::unique_ptr<OpenLoopLoadGen>> gens;
   for (NodeId id = 0; id < kNodes; ++id) {
-    runtimes.push_back(std::make_unique<SimRuntime>(network, id));
     gens.push_back(std::make_unique<OpenLoopLoadGen>(
         MakeLoadGen(id, per_node_tps, config.clients_per_node), Millis(1)));
-    AppNodeCallbacks callbacks;
-    callbacks.on_client_reply = [&gens, &scheduler, id](uint64_t, const ClientReplyMsg& reply) {
-      gens[id]->OnReply(reply, scheduler.Now());
-    };
-    // Full topology: every node executes every block, so every peer's receipt
-    // feeds every front end (the role kClientReply gossip plays over TCP).
-    callbacks.on_receipt = [&apps, id](const ExecutionReceipt& receipt) {
-      for (NodeId peer = 0; peer < kNodes; ++peer) {
-        if (peer != id) {
-          apps[peer]->OnExecutorReceipt(id, receipt);
-        }
-      }
-    };
-    apps.push_back(std::make_unique<AppNode>(*runtimes[id], keychain, topology, MakeNodeOptions(),
-                                             std::move(callbacks)));
-    network.RegisterHandler(id, apps[id].get());
-    apps[id]->Start();
   }
+  std::unique_ptr<Cluster> cluster;
+  Cluster::Options options = ClusterOptions(Cluster::Kind::kSim);
+  options.setup = [&gens, &cluster](NodeId id, Cluster::NodeSetup& setup) {
+    ConfigureNode(setup.options);
+    setup.callbacks.on_client_reply = [&gens, &cluster, id](uint64_t, const ClientReplyMsg& reply) {
+      gens[id]->OnReply(reply, cluster->scheduler().Now());
+    };
+  };
+  cluster = std::make_unique<Cluster>(std::move(options));
+  Scheduler& scheduler = cluster->scheduler();
+  cluster->Start();
 
   // Per-node pump: poll the generator, feed every due frame into ingress.
   std::function<void(NodeId)> pump = [&](NodeId id) {
     for (const Bytes& frame : gens[id]->Poll(scheduler.Now())) {
-      apps[id]->SubmitClientRequest(frame);
+      cluster->app(id).SubmitClientRequest(frame);
     }
     if (scheduler.Now() < config.duration) {
       scheduler.ScheduleCallbackAt(scheduler.Now() + config.pump, [&pump, id] { pump(id); });
@@ -209,78 +198,36 @@ struct TcpClientPump {
   }
 };
 
-IngressPoint RunTcpPoint(double per_node_tps, const SweepConfig& config, uint16_t base_port) {
+IngressPoint RunTcpPoint(double per_node_tps, const SweepConfig& config) {
   IngressPoint point;
   point.runtime = "tcp";
   point.offered_tps = per_node_tps * kNodes;
   point.duration_s = static_cast<double>(config.tcp_duration) / 1e6;
 
-  Keychain keychain(5, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
-
-  struct Router : MessageHandler {
-    AppNode* app = nullptr;
-    void OnMessage(NodeId from, MsgType type, const Bytes& payload) override {
-      if (app != nullptr) {
-        app->OnMessage(from, type, payload);
-      }
-    }
-  };
-
-  std::vector<Router> routers(kNodes);
-  std::vector<std::unique_ptr<TcpRuntime>> nets(kNodes);
-  std::vector<std::unique_ptr<AppNode>> apps(kNodes);
   std::vector<TcpClientPump> pumps(kNodes);
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig tcp;
-    tcp.id = id;
-    tcp.num_nodes = kNodes;
-    tcp.base_port = base_port;
-    nets[id] = std::make_unique<TcpRuntime>(tcp, &routers[id]);
-
-    AppNodeCallbacks callbacks;
-    callbacks.on_client_reply = [&pumps, &nets, id](uint64_t, const ClientReplyMsg& reply) {
+  std::unique_ptr<Cluster> cluster;
+  Cluster::Options options = ClusterOptions(Cluster::Kind::kTcp);
+  options.setup = [&pumps, &cluster](NodeId id, Cluster::NodeSetup& setup) {
+    ConfigureNode(setup.options);
+    setup.callbacks.on_client_reply = [&pumps, &cluster, id](uint64_t, const ClientReplyMsg& reply) {
       if (pumps[id].gen != nullptr) {
-        pumps[id].gen->OnReply(reply, nets[id]->Now());  // On node id's loop.
+        pumps[id].gen->OnReply(reply, cluster->tcp(id).Now());  // On node id's loop.
       }
     };
-    // Receipt gossip: this node's receipt is posted onto every peer's loop.
-    callbacks.on_receipt = [&apps, &nets, id](const ExecutionReceipt& receipt) {
-      for (NodeId peer = 0; peer < kNodes; ++peer) {
-        if (peer != id) {
-          AppNode* peer_app = apps[peer].get();
-          nets[peer]->Post([peer_app, id, receipt] { peer_app->OnExecutorReceipt(id, receipt); });
-        }
-      }
-    };
-    apps[id] = std::make_unique<AppNode>(*nets[id], keychain, topology, MakeNodeOptions(),
-                                         std::move(callbacks));
-    routers[id].app = apps[id].get();
-  }
-
-  for (auto& net : nets) {
-    net->Start();
-  }
-  for (auto& net : nets) {
-    if (!net->WaitConnected(Seconds(10))) {
-      std::fprintf(stderr, "tcp mesh failed to connect on base port %u\n", base_port);
-      for (auto& n : nets) {
-        n->Stop();
-      }
-      return point;  // Zero goodput; the smoke gate reports it.
-    }
+  };
+  cluster = std::make_unique<Cluster>(std::move(options));
+  if (!cluster->Start()) {
+    return point;  // Zero goodput; the smoke gate reports it.
   }
 
   const AllocSnapshot before = ReadAllocCounter();
   for (NodeId id = 0; id < kNodes; ++id) {
     TcpClientPump* pump = &pumps[id];
-    pump->net = nets[id].get();
-    pump->app = apps[id].get();
-    nets[id]->Post([pump, id, per_node_tps, &config] {
+    pump->net = &cluster->tcp(id);
+    pump->app = &cluster->app(id);
+    pump->net->Post([pump, id, per_node_tps, &config] {
       pump->gen = std::make_unique<OpenLoopLoadGen>(
           MakeLoadGen(id, per_node_tps, config.clients_per_node), pump->net->Now());
-      pump->app->Start();
       pump->Tick();
     });
   }
@@ -290,9 +237,7 @@ IngressPoint RunTcpPoint(double per_node_tps, const SweepConfig& config, uint16_
   for (auto& pump : pumps) {
     pump.running->store(false, std::memory_order_relaxed);
   }
-  for (auto& net : nets) {
-    net->Stop();  // Joins the loop thread; generator stats are now quiescent.
-  }
+  cluster->Stop();  // Joins the loop threads; generator stats are now quiescent.
   const AllocSnapshot after = ReadAllocCounter();
 
   std::vector<std::unique_ptr<OpenLoopLoadGen>> gens;
@@ -358,11 +303,9 @@ int main(int argc, char** argv) {
     points.push_back(RunSimPoint(tps, config));
     PrintPoint(points.back());
   }
-  uint16_t base_port = 24100;
   for (double tps : config.per_node_tps) {
-    points.push_back(RunTcpPoint(tps, config, base_port));
+    points.push_back(RunTcpPoint(tps, config));  // Each point probes fresh ports.
     PrintPoint(points.back());
-    base_port += 2 * kNodes;  // Fresh ports per point: no TIME_WAIT rebinds.
   }
 
   if (out_path != nullptr) {

@@ -12,17 +12,14 @@
 //
 //   ./bench_recovery [--quick] [--out BENCH_recovery.json]
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/app_node.h"
-#include "sim/network.h"
+#include "core/cluster.h"
 
 namespace clandag {
 namespace bench {
@@ -41,106 +38,62 @@ struct RecoveryRow {
   size_t history_positions = 0;  // Victim's ordered count at crash time.
 };
 
-std::string WalPath(NodeId id) {
-  const char* tmp = std::getenv("TMPDIR");
-  return std::string(tmp != nullptr ? tmp : "/tmp") + "/clandag_bench_recovery_" +
-         std::to_string(static_cast<unsigned long>(::getpid())) + "_" +
-         std::to_string(id) + ".wal";
-}
-
-void RemoveFiles(NodeId id) {
-  const std::string wal = WalPath(id);
-  std::remove(wal.c_str());
-  std::remove((wal + ".snap").c_str());
-  std::remove((wal + ".snap.prev").c_str());
-  std::remove((wal + ".snap.tmp").c_str());
-}
-
 RecoveryRow RunPoint(const std::string& mode, Round history_rounds) {
   RecoveryRow row;
   row.mode = mode;
   row.history_rounds = history_rounds;
 
-  Scheduler scheduler;
-  Keychain keychain(17, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
-  SimNetwork network(scheduler, LatencyMatrix::Uniform(kNodes, Millis(10)),
-                     NetworkConfig{1e9, 0});
-
   std::vector<size_t> ordered(kNodes, 0);
-  auto make_node = [&](NodeId id, Runtime& runtime) {
-    AppNodeOptions options;
-    options.consensus.num_nodes = kNodes;
-    options.consensus.num_faults = (kNodes - 1) / 3;
-    options.consensus.round_timeout = Millis(300);
+  Cluster::Options options;
+  options.num_nodes = kNodes;
+  const char* tmp = std::getenv("TMPDIR");
+  options.wal_dir = tmp != nullptr ? tmp : "/tmp";
+  options.setup = [&ordered, &mode](NodeId id, Cluster::NodeSetup& setup) {
+    setup.options.consensus.round_timeout = Millis(300);
     // Wide horizon: the bench measures replay cost, not snapshot catch-up, so
     // the restart gap must stay within the fetchable window in both modes.
-    options.consensus.gc_depth = 64;
-    options.wal_path = WalPath(id);
-    options.snapshot_interval_rounds = mode == "snapshot" ? 8 : 0;
-    AppNodeCallbacks callbacks;
-    callbacks.on_ordered = [&ordered, id](const Vertex&) { ++ordered[id]; };
-    auto node =
-        std::make_unique<AppNode>(runtime, keychain, topology, options, callbacks);
+    setup.options.consensus.gc_depth = 64;
+    setup.options.snapshot_interval_rounds = mode == "snapshot" ? 8 : 0;
+    setup.callbacks.on_ordered = [&ordered, id](const Vertex&) { ++ordered[id]; };
     for (uint64_t i = 0; i < 300; ++i) {
-      node->SubmitTransaction(id * 100000 + i, Bytes(64, 0x5a));
+      setup.preload.emplace_back(id * 100000 + i, Bytes(64, 0x5a));
     }
-    return node;
   };
-
-  std::vector<std::unique_ptr<SimRuntime>> runtimes;
-  std::vector<std::unique_ptr<AppNode>> nodes;
-  for (NodeId id = 0; id < kNodes; ++id) {
-    RemoveFiles(id);
-    runtimes.push_back(std::make_unique<SimRuntime>(network, id));
-    nodes.push_back(make_node(id, *runtimes[id]));
-    network.RegisterHandler(id, nodes[id].get());
-  }
-  for (auto& node : nodes) {
-    node->Start();
-  }
+  Cluster cluster(std::move(options));
+  Scheduler& scheduler = cluster.scheduler();
+  cluster.Start();
 
   // Grow the history to the target round (capped so a stall cannot hang CI).
   TimeMicros now = 0;
   const TimeMicros cap = Seconds(120);
   while (now < cap &&
-         nodes[0]->consensus().LastCommittedRound() <
+         cluster.app(0).consensus().LastCommittedRound() <
              static_cast<int64_t>(history_rounds)) {
     now += Millis(500);
     scheduler.RunUntil(now);
   }
-  if (nodes[0]->consensus().LastCommittedRound() <
+  if (cluster.app(0).consensus().LastCommittedRound() <
       static_cast<int64_t>(history_rounds)) {
     return row;  // ok stays false: the cluster never reached the target.
   }
 
   row.committed_at_crash =
-      static_cast<uint64_t>(nodes[kVictim]->consensus().LastCommittedRound());
+      static_cast<uint64_t>(cluster.app(kVictim).consensus().LastCommittedRound());
   row.history_positions = ordered[kVictim];
 
   // Crash the victim, let a short gap pass, restart, and read the stats.
-  network.SetCrashed(kVictim, true);
+  cluster.Crash(kVictim);
   now += Millis(200);
   scheduler.RunUntil(now);
-  auto zombie = std::move(nodes[kVictim]);
-  auto zombie_runtime = std::move(runtimes[kVictim]);
-  runtimes[kVictim] = std::make_unique<SimRuntime>(network, kVictim);
-  nodes[kVictim] = make_node(kVictim, *runtimes[kVictim]);
-  network.RegisterHandler(kVictim, nodes[kVictim].get());
-  network.SetCrashed(kVictim, false);
-  nodes[kVictim]->Start();
-  row.stats = nodes[kVictim]->recovery_stats();
+  AppNode& restarted = cluster.Restart(kVictim);
+  row.stats = restarted.recovery_stats();
 
   now += Seconds(3);
   scheduler.RunUntil(now);
-  row.rejoined = nodes[kVictim]->consensus().LastCommittedRound() + 8 >=
-                 nodes[0]->consensus().LastCommittedRound();
+  row.rejoined = restarted.consensus().LastCommittedRound() + 8 >=
+                 cluster.app(0).consensus().LastCommittedRound();
   row.ok = row.stats.recovered && row.rejoined &&
            (mode != "snapshot" || row.stats.from_snapshot);
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    RemoveFiles(id);
-  }
   return row;
 }
 

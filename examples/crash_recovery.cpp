@@ -10,14 +10,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/app_node.h"
+#include "core/cluster.h"
 #include "core/metrics.h"
-#include "sim/network.h"
 
 using namespace clandag;
 
@@ -29,8 +29,6 @@ constexpr NodeId kVictim = 3;
 // WALs land under --dir <path> when given, else a scratch directory under
 // $TMPDIR (or /tmp) — never the working directory, which is typically the
 // repo checkout.
-std::string g_wal_dir;
-
 std::string WalDir(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--dir") == 0) {
@@ -41,86 +39,55 @@ std::string WalDir(int argc, char** argv) {
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/clandag_crash_recovery";
 }
 
-std::string WalPath(NodeId id) {
-  return g_wal_dir + "/crash_recovery_wal_" + std::to_string(id) + ".log";
-}
-
-std::unique_ptr<AppNode> MakeNode(Runtime& runtime, const Keychain& keychain,
-                                  const ClanTopology& topology,
-                                  std::vector<std::pair<Round, NodeId>>* ordered_log) {
-  AppNodeOptions options;
-  options.consensus.num_nodes = kNodes;
-  options.consensus.num_faults = 1;
-  options.consensus.round_timeout = Millis(400);
-  options.consensus.gc_depth = 16;
-  options.wal_path = WalPath(runtime.id());
-  AppNodeCallbacks callbacks;
-  callbacks.on_ordered = [ordered_log](const Vertex& v) {
-    ordered_log->push_back({v.round, v.source});
-  };
-  auto node = std::make_unique<AppNode>(runtime, keychain, topology, options, callbacks);
-  for (uint64_t i = 0; i < 400; ++i) {
-    node->SubmitTransaction(runtime.id() * 10000 + i, Bytes(128, 0x5a));
-  }
-  return node;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_wal_dir = WalDir(argc, argv);
+  Cluster::Options options;
+  options.num_nodes = kNodes;
+  options.wal_dir = WalDir(argc, argv);
   std::error_code ec;
-  std::filesystem::create_directories(g_wal_dir, ec);
+  std::filesystem::create_directories(options.wal_dir, ec);
   if (ec) {
-    std::fprintf(stderr, "cannot create WAL directory %s: %s\n",
-                 g_wal_dir.c_str(), ec.message().c_str());
+    std::fprintf(stderr, "cannot create WAL directory %s: %s\n", options.wal_dir.c_str(),
+                 ec.message().c_str());
     return 1;
   }
-  for (NodeId id = 0; id < kNodes; ++id) {
-    std::remove(WalPath(id).c_str());  // Fresh logs for a repeatable demo.
-  }
 
-  Scheduler scheduler;
-  Keychain keychain(17, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
-  SimNetwork network(scheduler, LatencyMatrix::Uniform(kNodes, Millis(10)),
-                     NetworkConfig{1e9, 0});
-
-  std::vector<std::unique_ptr<SimRuntime>> runtimes;
-  std::vector<std::unique_ptr<AppNode>> nodes;
-  std::vector<std::vector<std::pair<Round, NodeId>>> ordered(kNodes);
-  for (NodeId id = 0; id < kNodes; ++id) {
-    runtimes.push_back(std::make_unique<SimRuntime>(network, id));
-    nodes.push_back(MakeNode(*runtimes[id], keychain, topology, &ordered[id]));
-    network.RegisterHandler(id, nodes[id].get());
-  }
-  for (auto& node : nodes) {
-    node->Start();
-  }
+  // Each node's ordered stream, one log per life: a restarted node's log
+  // holds only what it ordered live after its restart.
+  using OrderLog = std::vector<std::pair<Round, NodeId>>;
+  std::vector<std::deque<OrderLog>> lives(kNodes);
+  options.setup = [&lives](NodeId id, Cluster::NodeSetup& setup) {
+    setup.options.consensus.round_timeout = Millis(400);
+    setup.options.consensus.gc_depth = 16;
+    OrderLog* log = &lives[id].emplace_back();
+    setup.callbacks.on_ordered = [log](const Vertex& v) { log->push_back({v.round, v.source}); };
+    for (uint64_t i = 0; i < 400; ++i) {
+      setup.preload.emplace_back(id * 10000 + i, Bytes(128, 0x5a));
+    }
+  };
+  Cluster cluster(std::move(options));
+  cluster.Start();
+  Scheduler& scheduler = cluster.scheduler();
 
   // Phase 1: healthy cluster.
   scheduler.RunUntil(Seconds(3));
-  const int64_t committed_at_crash = nodes[kVictim]->consensus().LastCommittedRound();
+  const int64_t committed_at_crash = cluster.app(kVictim).consensus().LastCommittedRound();
   std::printf("t=3s  crash node %u (committed round %lld)\n", kVictim,
               static_cast<long long>(committed_at_crash));
-  network.SetCrashed(kVictim, true);
+  cluster.Crash(kVictim);
 
   // Phase 2: the survivors keep committing; the victim's timers drain while
   // its traffic is dropped. (The crashed AppNode object must outlive its
   // scheduled callbacks, so it is kept as a zombie, not destroyed.)
   scheduler.RunUntil(Seconds(7));
 
-  // Phase 3: restart from the WAL — a brand-new AppNode over the same
+  // Phase 3: restart from the WAL — a fresh AppNode over the same
   // identity and log file.
-  std::printf("t=7s  restart node %u from %s\n", kVictim, WalPath(kVictim).c_str());
-  std::vector<std::pair<Round, NodeId>> ordered_after_restart;
-  auto restart_runtime = std::make_unique<SimRuntime>(network, kVictim);
-  auto restarted =
-      MakeNode(*restart_runtime, keychain, topology, &ordered_after_restart);
-  network.RegisterHandler(kVictim, restarted.get());
-  network.SetCrashed(kVictim, false);
-  restarted->Start();
-  const RecoveryStats& rec = restarted->recovery_stats();
+  std::printf("t=7s  restart node %u from %s\n", kVictim, cluster.WalPath(kVictim).c_str());
+  AppNode& restarted = cluster.Restart(kVictim);
+  const OrderLog& ordered_after_restart = lives[kVictim].back();
+  const RecoveryStats& rec = restarted.recovery_stats();
   std::printf("      replayed %llu WAL records: %zu committed + %zu trailing vertices, "
               "resume round %llu (%.1f ms host time)\n",
               static_cast<unsigned long long>(rec.wal_records), rec.restored_vertices,
@@ -129,22 +96,20 @@ int main(int argc, char** argv) {
 
   scheduler.RunUntil(Seconds(12));
 
-  const int64_t victim_committed = restarted->consensus().LastCommittedRound();
-  const int64_t peer_committed = nodes[0]->consensus().LastCommittedRound();
+  const int64_t victim_committed = restarted.consensus().LastCommittedRound();
+  const int64_t peer_committed = cluster.app(0).consensus().LastCommittedRound();
   std::printf("t=12s node %u committed round %lld (peer at %lld)\n", kVictim,
               static_cast<long long>(victim_committed), static_cast<long long>(peer_committed));
 
-  SyncStats sync = restarted->sync_stats();
+  SyncStats sync;
   for (NodeId id = 0; id < kNodes; ++id) {
-    if (id != kVictim) {
-      sync += nodes[id]->sync_stats();
-    }
+    sync += cluster.app(id).sync_stats();
   }
   std::printf("state sync: %s\n", FormatSyncStats(sync).c_str());
 
   // The restarted node's post-restart order must be a continuation of the
   // healthy nodes' order: peer order == (replayed prefix) + (live stream).
-  const auto& reference = ordered[0];
+  const OrderLog& reference = lives[0].front();
   const size_t prefix = rec.restored_vertices;
   bool ok = victim_committed + 4 >= peer_committed && sync.vertices_fetched > 0;
   for (size_t i = 0; i < ordered_after_restart.size(); ++i) {

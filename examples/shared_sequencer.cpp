@@ -4,18 +4,18 @@
 // only its own application's transactions and answers that application's
 // clients, who accept once f_c+1 identical receipts arrive.
 //
-// Runs live on the in-process threaded transport (real time, real threads).
+// Runs on the deterministic simulator for up to 20 simulated seconds.
 //
 //   ./build/examples/shared_sequencer
+//
+// Exits 0 only if every application confirmed a block and the replicas of
+// each clan agree on their application state.
 
-#include <chrono>
 #include <cstdio>
-#include <map>
-#include <mutex>
-#include <thread>
+#include <utility>
+#include <vector>
 
-#include "core/app_node.h"
-#include "net/inproc_transport.h"
+#include "core/cluster.h"
 #include "smr/client.h"
 
 using namespace clandag;
@@ -25,29 +25,24 @@ int main() {
   constexpr uint32_t kClans = 3;  // Three independent applications.
   constexpr uint64_t kTxsPerApp = 30;
 
-  Keychain keychain(2024, kNodes);
-  ClanTopology topology = ClanTopology::MultiClan(kNodes, kClans);
+  // The cluster builds the same topology from (kNodes, kClans); this copy
+  // lets the node setup and the clients know their clans up front.
+  const ClanTopology topology = ClanTopology::MultiClan(kNodes, kClans);
   std::printf("topology: %s\n", topology.Describe().c_str());
 
-  InProcCluster cluster(kNodes);
-
   // One client per application, matching receipts f_c+1 ways.
-  std::mutex client_mu;
   std::vector<ClientReplyCollector> clients;
   for (uint32_t c = 0; c < kClans; ++c) {
     clients.emplace_back(topology.ClanQuorumFor(topology.Clan(c)[0]));
   }
 
-  std::vector<std::unique_ptr<AppNode>> apps(kNodes);
-  for (NodeId id = 0; id < kNodes; ++id) {
-    AppNodeOptions options;
-    options.consensus.num_nodes = kNodes;
-    options.consensus.num_faults = (kNodes - 1) / 3;
-    options.consensus.round_timeout = Seconds(5);
-    AppNodeCallbacks callbacks;
+  Cluster::Options options;
+  options.num_nodes = kNodes;
+  options.clans = kClans;
+  options.setup = [&topology, &clients](NodeId id, Cluster::NodeSetup& setup) {
+    setup.options.consensus.round_timeout = Seconds(5);
     const int clan = topology.ClanIndexOf(id);
-    callbacks.on_receipt = [&clients, &client_mu, clan, id](const ExecutionReceipt& receipt) {
-      std::lock_guard<std::mutex> lock(client_mu);
+    setup.callbacks.on_receipt = [&clients, clan, id](const ExecutionReceipt& receipt) {
       auto confirmed = clients[clan].AddReply(id, receipt);
       if (confirmed.has_value() && confirmed->txs_executed > 0) {
         std::printf("app %d: block (round %llu, proposer %u) confirmed with %u txs\n", clan,
@@ -55,66 +50,55 @@ int main() {
                     confirmed->txs_executed);
       }
     };
-    apps[id] = std::make_unique<AppNode>(cluster.RuntimeOf(id), keychain, topology, options,
-                                         std::move(callbacks));
-    cluster.RegisterHandler(id, apps[id].get());
-  }
-
-  cluster.Start();
-
-  // Each application submits transfers to one of its clan's nodes.
-  for (uint32_t c = 0; c < kClans; ++c) {
-    const NodeId entry = topology.Clan(c)[0];
-    cluster.Post(entry, [&apps, entry, c] {
+    // Each application submits transfers to the first node of its clan.
+    if (topology.Clan(clan)[0] == id) {
       for (uint64_t t = 0; t < kTxsPerApp; ++t) {
-        apps[entry]->SubmitTransaction(c * 10'000 + t,
-                                       EncodeTransfer(static_cast<uint32_t>(t % 5),
-                                                      static_cast<uint32_t>(5 + t % 5), 1));
-      }
-    });
-  }
-  for (NodeId id = 0; id < kNodes; ++id) {
-    cluster.Post(id, [&apps, id] { apps[id]->Start(); });
-  }
-
-  // Wait until every application's client confirmed its transactions.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (std::chrono::steady_clock::now() < deadline) {
-    {
-      std::lock_guard<std::mutex> lock(client_mu);
-      uint32_t confirmed_apps = 0;
-      for (auto& client : clients) {
-        if (client.ConfirmedCount() > 0) {
-          ++confirmed_apps;
-        }
-      }
-      if (confirmed_apps == kClans) {
-        break;
+        setup.preload.emplace_back(clan * 10'000 + t,
+                                   EncodeTransfer(static_cast<uint32_t>(t % 5),
+                                                  static_cast<uint32_t>(5 + t % 5), 1));
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  Cluster cluster(std::move(options));
+  cluster.Start();
+
+  // Run until every application's client confirmed its transactions.
+  auto confirmed_apps = [&clients] {
+    uint32_t confirmed = 0;
+    for (const ClientReplyCollector& client : clients) {
+      if (client.ConfirmedCount() > 0) {
+        ++confirmed;
+      }
+    }
+    return confirmed;
+  };
+  for (TimeMicros now = 0; now < Seconds(20) && confirmed_apps() < kClans;) {
+    now += Millis(50);
+    cluster.scheduler().RunUntil(now);
   }
-  cluster.Stop();
 
   std::printf("\nper-node summary:\n");
   for (NodeId id = 0; id < kNodes; ++id) {
+    AppNode& app = cluster.app(id);
     std::printf("  node %2u (app %d): ordered %llu vertices, executed %llu blocks, state %s\n",
                 id, topology.ClanIndexOf(id),
-                static_cast<unsigned long long>(apps[id]->OrderedVertices()),
-                static_cast<unsigned long long>(apps[id]->ExecutedBlocks()),
-                apps[id]->execution().StateDigest().Brief().c_str());
+                static_cast<unsigned long long>(app.OrderedVertices()),
+                static_cast<unsigned long long>(app.ExecutedBlocks()),
+                app.execution().StateDigest().Brief().c_str());
   }
   // Replicas within a clan must agree on their application state.
   bool consistent = true;
   for (uint32_t c = 0; c < kClans; ++c) {
     const auto& clan = topology.Clan(c);
     for (size_t i = 1; i < clan.size(); ++i) {
-      if (!(apps[clan[i]]->execution().StateDigest() ==
-            apps[clan[0]]->execution().StateDigest())) {
+      if (!(cluster.app(clan[i]).execution().StateDigest() ==
+            cluster.app(clan[0]).execution().StateDigest())) {
         consistent = false;
       }
     }
   }
+  const uint32_t confirmed = confirmed_apps();
   std::printf("\nintra-clan state consistency: %s\n", consistent ? "OK" : "VIOLATED");
-  return consistent ? 0 : 1;
+  std::printf("applications confirmed: %u of %u\n", confirmed, kClans);
+  return consistent && confirmed == kClans ? 0 : 1;
 }

@@ -3,97 +3,68 @@
 // transfers submitted at runtime.
 //
 //   ./build/examples/tcp_cluster [base_port]
+//
+// Without a base port the nodes listen on a free loopback block. Exits 0
+// only if every node executed all submitted transfers to the same state.
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
-#include "core/app_node.h"
-#include "net/tcp_transport.h"
+#include "core/cluster.h"
 
 using namespace clandag;
 
-namespace {
-
-struct Router : MessageHandler {
-  AppNode* app = nullptr;
-  void OnMessage(NodeId from, MsgType type, const Bytes& payload) override {
-    if (app != nullptr) {
-      app->OnMessage(from, type, payload);
-    }
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   constexpr uint32_t kNodes = 4;
-  const uint16_t base_port =
-      argc > 1 ? static_cast<uint16_t>(std::atoi(argv[1])) : 23000;
+  constexpr uint64_t kTxsPerNode = 25;
+  constexpr uint64_t kTotalTxs = kNodes * kTxsPerNode;
 
-  Keychain keychain(7, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
+  // Executed-transaction counts, written on each node's loop thread.
+  std::array<std::atomic<uint64_t>, kNodes> executed{};
 
-  std::vector<Router> routers(kNodes);
-  std::vector<std::unique_ptr<TcpRuntime>> nets(kNodes);
-  std::vector<std::unique_ptr<AppNode>> apps(kNodes);
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nets[id] = std::make_unique<TcpRuntime>(config, &routers[id]);
-
-    AppNodeOptions options;
-    options.consensus.num_nodes = kNodes;
-    options.consensus.num_faults = 1;
-    options.consensus.round_timeout = Seconds(5);
-    AppNodeCallbacks callbacks;
-    if (id == 0) {
-      callbacks.on_receipt = [](const ExecutionReceipt& r) {
-        if (r.txs_executed > 0) {
-          std::printf("executed block (round %llu, proposer %u): %u txs, state %s\n",
-                      static_cast<unsigned long long>(r.round), r.proposer, r.txs_executed,
-                      r.state_digest.Brief().c_str());
-        }
-      };
-    }
-    apps[id] = std::make_unique<AppNode>(*nets[id], keychain, topology, options,
-                                         std::move(callbacks));
-    routers[id].app = apps[id].get();
+  Cluster::Options options;
+  options.kind = Cluster::Kind::kTcp;
+  options.num_nodes = kNodes;
+  if (argc > 1) {
+    options.base_port = static_cast<uint16_t>(std::atoi(argv[1]));
   }
-
-  std::printf("starting %u nodes on 127.0.0.1:%u..%u\n", kNodes, base_port,
-              base_port + kNodes - 1);
-  for (auto& net : nets) {
-    net->Start();
-  }
-  for (auto& net : nets) {
-    if (!net->WaitConnected(Seconds(10))) {
-      std::printf("mesh failed to connect (port collision?)\n");
-      return 1;
-    }
-  }
-  std::printf("mesh connected; submitting transactions and starting consensus\n");
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    nets[id]->Post([&apps, id] {
-      for (uint64_t t = 0; t < 25; ++t) {
-        apps[id]->SubmitTransaction(id * 1000 + t,
-                                    EncodeTransfer(static_cast<uint32_t>(t % 3),
-                                                   static_cast<uint32_t>(3 + t % 3), 2));
+  options.setup = [&executed](NodeId id, Cluster::NodeSetup& setup) {
+    setup.options.consensus.round_timeout = Seconds(5);
+    setup.callbacks.on_receipt = [&executed, id](const ExecutionReceipt& r) {
+      executed[id] += r.txs_executed;
+      if (id == 0 && r.txs_executed > 0) {
+        std::printf("executed block (round %llu, proposer %u): %u txs, state %s\n",
+                    static_cast<unsigned long long>(r.round), r.proposer, r.txs_executed,
+                    r.state_digest.Brief().c_str());
       }
-      apps[id]->Start();
-    });
+    };
+    for (uint64_t t = 0; t < kTxsPerNode; ++t) {
+      setup.preload.emplace_back(id * 1000 + t,
+                                 EncodeTransfer(static_cast<uint32_t>(t % 3),
+                                                static_cast<uint32_t>(3 + t % 3), 2));
+    }
+  };
+  Cluster cluster(std::move(options));
+
+  std::printf("starting %u nodes on 127.0.0.1:%u..%u\n", kNodes, cluster.base_port(),
+              cluster.base_port() + kNodes - 1);
+  if (!cluster.Start()) {
+    std::printf("mesh failed to connect (port collision?)\n");
+    return 1;
   }
+  std::printf("mesh connected; consensus started with %llu transactions queued\n",
+              static_cast<unsigned long long>(kTotalTxs));
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (std::chrono::steady_clock::now() < deadline) {
     bool done = true;
-    for (auto& app : apps) {
-      if (app->execution().ExecutedTxs() < kNodes * 25) {
+    for (const auto& count : executed) {
+      if (count.load() < kTotalTxs) {
         done = false;
       }
     }
@@ -102,20 +73,24 @@ int main(int argc, char** argv) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  for (auto& net : nets) {
-    net->Stop();
-  }
+  cluster.Stop();
 
   std::printf("\nfinal state digests:\n");
   bool consistent = true;
+  bool complete = true;
   for (NodeId id = 0; id < kNodes; ++id) {
-    std::printf("  node %u: %s (%llu txs executed)\n", id,
-                apps[id]->execution().StateDigest().Brief().c_str(),
-                static_cast<unsigned long long>(apps[id]->execution().ExecutedTxs()));
-    if (!(apps[id]->execution().StateDigest() == apps[0]->execution().StateDigest())) {
+    const ExecutionEngine& execution = cluster.app(id).execution();
+    std::printf("  node %u: %s (%llu txs executed)\n", id, execution.StateDigest().Brief().c_str(),
+                static_cast<unsigned long long>(execution.ExecutedTxs()));
+    if (!(execution.StateDigest() == cluster.app(0).execution().StateDigest())) {
       consistent = false;
+    }
+    if (execution.ExecutedTxs() != kTotalTxs) {
+      complete = false;
     }
   }
   std::printf("replica consistency: %s\n", consistent ? "OK" : "VIOLATED");
-  return consistent ? 0 : 1;
+  std::printf("all %llu transactions executed everywhere: %s\n",
+              static_cast<unsigned long long>(kTotalTxs), complete ? "OK" : "NO");
+  return consistent && complete ? 0 : 1;
 }

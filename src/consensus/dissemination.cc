@@ -521,7 +521,13 @@ void VertexDisseminator::StartVertexPull(NodeId source, Round round) {
     }
   }
   inst.pull_rr += config_.pull_fanout;
-  runtime_.Schedule(config_.pull_retry, [this, source, round] { StartVertexPull(source, round); });
+  // The retry finds the instance rather than re-creating it: a pull that
+  // outlives a PruneBelow of its round has nothing left to resume.
+  runtime_.Schedule(config_.pull_retry, [this, source, round] {
+    if (FindInstance(source, round) != nullptr) {
+      StartVertexPull(source, round);
+    }
+  });
 }
 
 void VertexDisseminator::StartBlockPull(NodeId source, Round round) {
@@ -554,8 +560,9 @@ void VertexDisseminator::StartBlockPull(NodeId source, Round round) {
   }
   inst.pull_rr += config_.pull_fanout;
   runtime_.Schedule(config_.pull_retry, [this, source, round] {
-    Instance& retry_inst = GetInstance(source, round);
-    if (retry_inst.pulling_block && !(retry_inst.block.has_value() && retry_inst.block_verified)) {
+    const Instance* retry_inst = FindInstance(source, round);
+    if (retry_inst != nullptr && retry_inst->pulling_block &&
+        !(retry_inst->block.has_value() && retry_inst->block_verified)) {
       StartBlockPull(source, round);
     }
   });

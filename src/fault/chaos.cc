@@ -3,47 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include <unordered_map>
-
-#include "common/quorum.h"
-#include "core/app_node.h"
 #include "core/byzantine.h"
+#include "core/cluster.h"
 #include "fault/fault_runtime.h"
 #include "fault/oracles.h"
 #include "ingress/load_gen.h"
-#include "sim/network.h"
 
 namespace clandag {
 namespace {
 
-// A simulated AppNode cluster driven by one FaultPlan. Follows the zombie
-// pattern from the sync tests: a crashed node's objects stay alive (its
-// scheduled callbacks remain valid) but its oracle taps are deactivated and
-// the network drops its traffic; restart builds a fresh stack over the same
-// identity and WAL.
+// A simulated AppNode cluster driven by one FaultPlan. Crash and restart go
+// through the cluster builder's zombie pattern: a crashed node's objects stay
+// alive (its scheduled callbacks remain valid) but its oracle taps are
+// deactivated and the network drops its traffic; restart builds a fresh
+// stack over the same identity and WAL.
 class ChaosCluster {
  public:
   ChaosCluster(const FaultPlan& plan, const ChaosOptions& opts)
       : plan_(plan),
         opts_(opts),
-        keychain_(17, plan.num_nodes),
-        topology_(ClanTopology::Full(plan.num_nodes)),
-        network_(scheduler_, LatencyMatrix::Uniform(plan.num_nodes, Millis(10)),
-                 NetworkConfig{1e9, 0}),
         injector_(plan),
         safety_(plan.num_nodes),
-        liveness_(plan.num_nodes) {
+        liveness_(plan.num_nodes),
+        active_(plan.num_nodes),
+        snapshot_fault_used_(plan.snapshots.size(), false),
+        cluster_(MakeClusterOptions()),
+        scheduler_(cluster_.scheduler()) {
     for (const ByzantineAssignment& b : plan_.byzantine) {
       safety_.SetFaulty(b.node, true);
-    }
-    stacks_.resize(plan_.num_nodes);
-    snapshot_fault_used_.resize(plan_.snapshots.size(), false);
-    for (NodeId id = 0; id < plan_.num_nodes; ++id) {
-      RemoveNodeFiles(id);
-      BuildNode(id);
     }
     // Fault schedule. Ties at one timestamp fire in scheduling order, so the
     // heal marker is registered last: at HealTime() every restart has
@@ -52,7 +43,7 @@ class ChaosCluster {
       scheduler_.ScheduleCallbackAt(c.crash_at, [this, node = c.node] { Crash(node); });
       if (c.Restarts()) {
         scheduler_.ScheduleCallbackAt(c.restart_at,
-                                      [this, node = c.node] { Restart(node); });
+                                      [this, node = c.node] { cluster_.Restart(node); });
       }
     }
     for (size_t i = 0; i < plan_.snapshots.size(); ++i) {
@@ -82,16 +73,8 @@ class ChaosCluster {
     }
   }
 
-  ~ChaosCluster() {
-    for (NodeId id = 0; id < plan_.num_nodes; ++id) {
-      RemoveNodeFiles(id);
-    }
-  }
-
   ChaosReport Run() {
-    for (auto& s : stacks_) {
-      s.node->Start();
-    }
+    cluster_.Start();
     const TimeMicros end =
         std::max(plan_.horizon, plan_.HealTime() + opts_.post_heal_run);
     scheduler_.RunUntil(end);
@@ -102,13 +85,13 @@ class ChaosCluster {
     report.injected = injector_.Stats();
     report.final_committed_round = liveness_.MaxCommitted();
     report.per_node_committed = liveness_.PerNodeCommitted();
-    for (auto& s : stacks_) {
-      report.per_node_round.push_back(s.node->consensus().CurrentRound());
+    for (NodeId id = 0; id < plan_.num_nodes; ++id) {
+      report.per_node_round.push_back(cluster_.app(id).consensus().CurrentRound());
     }
     report.honest_ordered = safety_.TotalOrdered();
     report.restarts_recovered = restarts_recovered_;
-    for (auto& s : stacks_) {
-      const SyncStats stats = s.node->sync_stats();
+    for (NodeId id = 0; id < plan_.num_nodes; ++id) {
+      const SyncStats stats = cluster_.app(id).sync_stats();
       report.snapshots_written += stats.snapshots_written;
       report.snapshots_installed += stats.snapshots_installed;
     }
@@ -148,56 +131,35 @@ class ChaosCluster {
   }
 
  private:
-  // One node's runtime stack; `active` gates oracle taps so a zombie's
-  // leftover callbacks never pollute the logs after its successor restarts.
-  struct NodeStack {
-    std::unique_ptr<SimRuntime> sim;
-    std::unique_ptr<FaultInjectingRuntime> fault;
-    std::unique_ptr<ByzantineRuntime> byz;
-    std::unique_ptr<AppNode> node;
-    std::shared_ptr<bool> active;
-  };
-
-  std::string WalPath(NodeId id) const {
-    const std::string dir = opts_.wal_dir.empty() ? "/tmp" : opts_.wal_dir;
-    return dir + "/clandag_chaos_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + "_" +
-           std::to_string(id) + ".wal";
-  }
-
-  void RemoveNodeFiles(NodeId id) const {
-    const std::string wal = WalPath(id);
-    std::remove(wal.c_str());
-    std::remove((wal + ".snap").c_str());
-    std::remove((wal + ".snap.prev").c_str());
-    std::remove((wal + ".snap.tmp").c_str());
-  }
-
-  void BuildNode(NodeId id) {
-    NodeStack stack;
-    stack.active = std::make_shared<bool>(true);
-    stack.sim = std::make_unique<SimRuntime>(network_, id);
-    stack.fault = std::make_unique<FaultInjectingRuntime>(*stack.sim, injector_);
-    Runtime* runtime = stack.fault.get();
-    for (const ByzantineAssignment& b : plan_.byzantine) {
-      if (b.node == id) {
-        stack.byz = std::make_unique<ByzantineRuntime>(*stack.fault, b.behaviors);
-        runtime = stack.byz.get();
-        break;
-      }
+  Cluster::Options MakeClusterOptions() {
+    Cluster::Options options;
+    options.num_nodes = plan_.num_nodes;
+    if (opts_.use_wal) {
+      options.wal_dir = opts_.wal_dir.empty() ? "/tmp" : opts_.wal_dir;
     }
+    options.wrap = [this](NodeId id, RuntimeStack& stack) {
+      stack.Push<FaultInjectingRuntime>(injector_);
+      for (const ByzantineAssignment& b : plan_.byzantine) {
+        if (b.node == id) {
+          stack.Push<ByzantineRuntime>(b.behaviors);
+          break;
+        }
+      }
+    };
+    options.setup = [this](NodeId id, Cluster::NodeSetup& setup) { SetupNode(id, setup); };
+    return options;
+  }
 
-    AppNodeOptions options;
-    options.consensus.num_nodes = plan_.num_nodes;
-    options.consensus.num_faults = static_cast<uint32_t>(MaxTribeFaults(plan_.num_nodes));
+  // Runs on every build of node `id`. Each life gets a fresh `active` flag
+  // that gates its oracle taps, so a zombie's leftover callbacks never
+  // pollute the logs after its successor restarts.
+  void SetupNode(NodeId id, Cluster::NodeSetup& setup) {
+    const auto active = std::make_shared<bool>(true);
+    active_[id] = active;
+    AppNodeOptions& options = setup.options;
+    AppNodeCallbacks& callbacks = setup.callbacks;
     options.consensus.round_timeout = opts_.round_timeout;
     options.consensus.gc_depth = opts_.gc_depth;
-    if (opts_.use_wal) {
-      options.wal_path = WalPath(id);
-    }
-
-    AppNodeCallbacks callbacks;
-    const std::shared_ptr<bool> active = stack.active;
     if (opts_.use_wal && opts_.snapshot_interval_rounds > 0) {
       options.snapshot_interval_rounds = opts_.snapshot_interval_rounds;
       options.snapshot_write_fault = [this, id, active](uint64_t seq) {
@@ -278,27 +240,20 @@ class ChaosCluster {
         // in for the kClientReply gossip frames the TCP driver would send,
         // but still respect crash and partition state.
         for (NodeId peer = 0; peer < plan_.num_nodes; ++peer) {
-          if (peer == id || !*stacks_[peer].active) {
+          if (peer == id || !*active_[peer]) {
             continue;
           }
           if (injector_.Partitioned(id, peer, scheduler_.Now())) {
             continue;
           }
-          stacks_[peer].node->OnExecutorReceipt(id, receipt);
+          cluster_.app(peer).OnExecutorReceipt(id, receipt);
         }
       };
-    }
-
-    stack.node = std::make_unique<AppNode>(*runtime, keychain_, topology_, options,
-                                           std::move(callbacks));
-    if (!opts_.use_ingress) {
+    } else {
       for (uint64_t i = 0; i < opts_.txs_per_node; ++i) {
-        stack.node->SubmitTransaction(static_cast<uint64_t>(id) * 100000 + i,
-                                      Bytes(64, 0x5a));
+        setup.preload.emplace_back(static_cast<uint64_t>(id) * 100000 + i, Bytes(64, 0x5a));
       }
     }
-    network_.RegisterHandler(id, stack.node.get());
-    stacks_[id] = std::move(stack);
   }
 
   // Pumps one node's load generator: clients keep sending on their open-loop
@@ -307,9 +262,9 @@ class ChaosCluster {
   void SchedulePump(NodeId id) {
     scheduler_.ScheduleCallbackAt(scheduler_.Now() + opts_.ingress_poll, [this, id] {
       std::vector<Bytes> frames = loadgens_[id]->Poll(scheduler_.Now());
-      if (*stacks_[id].active) {
+      if (*active_[id]) {
         for (const Bytes& frame : frames) {
-          stacks_[id].node->SubmitClientRequest(frame);
+          cluster_.app(id).SubmitClientRequest(frame);
         }
       }
       SchedulePump(id);
@@ -322,7 +277,7 @@ class ChaosCluster {
   // is legitimate and not counted.
   void CheckNoDuplicateExecution(NodeId id, const ExecutionReceipt& receipt) {
     const BlockInfo* block =
-        stacks_[id].node->consensus().disseminator().GetBlock(receipt.proposer, receipt.round);
+        cluster_.app(id).consensus().disseminator().GetBlock(receipt.proposer, receipt.round);
     if (block == nullptr) {
       return;
     }
@@ -341,8 +296,8 @@ class ChaosCluster {
   }
 
   void Crash(NodeId id) {
-    network_.SetCrashed(id, true);
-    *stacks_[id].active = false;
+    cluster_.Crash(id);
+    *active_[id] = false;
   }
 
   // Crash from inside the node's own call stack (a write-fault or install
@@ -352,7 +307,7 @@ class ChaosCluster {
   void CrashWithRestart(NodeId id, TimeMicros delay) {
     Crash(id);
     scheduler_.ScheduleCallbackAt(scheduler_.Now() + delay,
-                                  [this, id] { Restart(id); });
+                                  [this, id] { cluster_.Restart(id); });
   }
 
   // Consumes the first unused seq-triggered snapshot fault for `node` whose
@@ -401,7 +356,7 @@ class ChaosCluster {
   // Flips one byte in the middle of the node's current snapshot file; the
   // next load must reject it by checksum and fall back (prev, then WAL).
   void CorruptSnapshotOnDisk(NodeId id) {
-    const std::string path = WalPath(id) + ".snap";
+    const std::string path = cluster_.WalPath(id) + ".snap";
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     if (f == nullptr) {
       return;
@@ -419,26 +374,13 @@ class ChaosCluster {
     std::fclose(f);
   }
 
-  void Restart(NodeId id) {
-    // bounded: one zombie stack per Restart(); restart counts are capped by the experiment
-    // schedule.
-    zombies_.push_back(std::move(stacks_[id]));
-    BuildNode(id);
-    network_.SetCrashed(id, false);
-    stacks_[id].node->Start();
-  }
-
   const FaultPlan plan_;
   const ChaosOptions opts_;
-  Scheduler scheduler_;
-  Keychain keychain_;
-  ClanTopology topology_;
-  SimNetwork network_;
   FaultInjector injector_;
   SafetyOracle safety_;
   LivenessOracle liveness_;
-  std::vector<NodeStack> stacks_;
-  std::vector<NodeStack> zombies_;
+  // The current life's oracle gate per node (see SetupNode).
+  std::vector<std::shared_ptr<bool>> active_;
   uint32_t restarts_recovered_ = 0;
   // One-shot consumption marks, parallel to plan_.snapshots.
   std::vector<bool> snapshot_fault_used_;
@@ -449,6 +391,10 @@ class ChaosCluster {
   std::vector<std::unique_ptr<OpenLoopLoadGen>> loadgens_;
   std::vector<std::unordered_map<uint64_t, std::pair<Round, NodeId>>> executed_ids_;
   uint64_t duplicate_executions_ = 0;
+
+  // Last: its construction runs the hooks above against initialized state.
+  Cluster cluster_;
+  Scheduler& scheduler_;
 };
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/chaos.h"
 #include "fault/fault_plan.h"
 #include "fault/oracles.h"
@@ -171,6 +173,71 @@ TEST(ChaosHarness, SnapshotFaultSweepHoldsOracles) {
     EXPECT_EQ(report.duplicate_executions, 0u) << "seed " << seed;
     EXPECT_GT(report.snapshots_written, 0u) << "seed " << seed;
   }
+}
+
+// --- Pinned outcomes: the harness wiring must not move a single event. ---
+
+// Every outcome field of a report, flattened so one EXPECT_EQ pins them all.
+std::string Outcome(const ChaosReport& r) {
+  std::string s = "ok=" + std::to_string(r.ok) +
+                  " committed=" + std::to_string(r.final_committed_round) + " per_node=[";
+  for (size_t i = 0; i < r.per_node_committed.size(); ++i) {
+    s += std::to_string(r.per_node_committed[i]) + "@" + std::to_string(r.per_node_round[i]) +
+         (i + 1 < r.per_node_committed.size() ? " " : "]");
+  }
+  s += " ordered=" + std::to_string(r.honest_ordered) +
+       " restarts=" + std::to_string(r.restarts_recovered) +
+       " passed=" + std::to_string(r.injected.passed) +
+       " drops=" + std::to_string(r.injected.partition_drops) + "/" +
+       std::to_string(r.injected.link_drops) + "/" + std::to_string(r.injected.crash_drops) +
+       " delays=" + std::to_string(r.injected.delays) +
+       " dups=" + std::to_string(r.injected.duplicates) +
+       " snaps=" + std::to_string(r.snapshots_written) + "/" +
+       std::to_string(r.snapshots_installed) +
+       " ingress=" + std::to_string(r.ingress_committed) + "/" +
+       std::to_string(r.ingress_expired) + "/" + std::to_string(r.ingress_rejected) + "/" +
+       std::to_string(r.ingress_duplicate_replies) +
+       " dup_exec=" + std::to_string(r.duplicate_executions);
+  return s;
+}
+
+// Recorded from the hand-wired harness before the cluster builder replaced
+// it. A change in any field means the simulated schedule moved: a wiring
+// change reordered construction, scheduling, or message handling.
+TEST(ChaosHarness, PinnedOutcomesPerSeed) {
+  const char* kRandom[] = {
+      "ok=1 committed=389 per_node=[389@391 389@391 389@391 389@391 389@391 389@391 389@391]"
+      " ordered=18998 restarts=0 passed=281616 drops=0/1594/0 delays=15251 dups=960"
+      " snaps=0/0 ingress=0/0/0/0 dup_exec=0",
+      "ok=1 committed=379 per_node=[379@380 379@380 379@380 379@380 379@380 379@380 379@380]"
+      " ordered=18557 restarts=0 passed=274960 drops=844/0/0 delays=9557 dups=582"
+      " snaps=0/0 ingress=0/0/0/0 dup_exec=0",
+      "ok=1 committed=120 per_node=[120@121 120@121 30@32 120@121 120@121 120@121 120@121]"
+      " ordered=3839 restarts=0 passed=60428 drops=0/1106/7544 delays=5817 dups=993"
+      " snaps=0/0 ingress=0/0/0/0 dup_exec=0",
+  };
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(Outcome(RunChaosPlan(FaultPlan::Random(seed, 7), ChaosOptions{})),
+              kRandom[seed - 1])
+        << "Random(" << seed << ", 7)";
+  }
+
+  ChaosOptions snapshots;
+  snapshots.snapshot_interval_rounds = 8;
+  snapshots.gc_depth = 16;
+  EXPECT_EQ(Outcome(RunChaosPlan(FaultPlan::RandomWithSnapshots(1, 7), snapshots)),
+            "ok=1 committed=343 per_node=[343@345 343@345 343@345 343@345 343@345 343@345 343@345]"
+            " ordered=16696 restarts=1 passed=249875 drops=0/1176/0 delays=16272 dups=775"
+            " snaps=293/0 ingress=0/0/0/0 dup_exec=0");
+
+  ChaosOptions ingress;
+  ingress.use_ingress = true;
+  const ChaosReport report = RunChaosPlan(FaultPlan::Random(5, 4), ingress);
+  EXPECT_EQ(report.duplicate_executions, 0u);
+  EXPECT_EQ(Outcome(report),
+            "ok=1 committed=375 per_node=[375@376 375@376 375@376 375@376]"
+            " ordered=5912 restarts=1 passed=46997 drops=580/0/283 delays=1328 dups=145"
+            " snaps=0/0 ingress=16657/250/0/288 dup_exec=0");
 }
 
 // --- Oracle falsifiability: each check must trip on a real violation. ---

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
-#include "core/app_node.h"
+#include "core/cluster.h"
 #include "core/metrics.h"
-#include "sim/network.h"
 
 namespace clandag {
 namespace {
@@ -123,71 +122,85 @@ class AppNodeSimTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kNodes = 4;
 
-  AppNodeSimTest()
-      : keychain_(5, kNodes),
-        topology_(ClanTopology::Full(kNodes)),
-        network_(scheduler_, LatencyMatrix::Uniform(kNodes, Millis(5)), NetworkConfig{1e9, 0}) {
-    for (NodeId id = 0; id < kNodes; ++id) {
-      runtimes_.push_back(std::make_unique<SimRuntime>(network_, id));
-      AppNodeOptions options;
-      options.consensus.num_nodes = kNodes;
-      options.consensus.num_faults = 1;
-      options.consensus.round_timeout = Millis(500);
-      AppNodeCallbacks callbacks;
-      apps_.push_back(std::make_unique<AppNode>(*runtimes_[id], keychain_, topology_, options,
-                                                std::move(callbacks)));
-      network_.RegisterHandler(id, apps_[id].get());
-    }
+  AppNodeSimTest() : cluster_(ClusterOptions()) {}
+
+  static Cluster::Options ClusterOptions() {
+    Cluster::Options options;
+    options.num_nodes = kNodes;
+    options.sim_latency = Millis(5);
+    options.setup = [](NodeId, Cluster::NodeSetup& setup) {
+      setup.options.consensus.round_timeout = Millis(500);
+    };
+    return options;
   }
 
-  Scheduler scheduler_;
-  Keychain keychain_;
-  ClanTopology topology_;
-  SimNetwork network_;
-  std::vector<std::unique_ptr<SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<AppNode>> apps_;
+  AppNode& app(NodeId id) { return cluster_.app(id); }
+  void StartAndRunUntil(TimeMicros t) {
+    cluster_.Start();
+    cluster_.scheduler().RunUntil(t);
+  }
+
+  Cluster cluster_;
 };
 
 TEST_F(AppNodeSimTest, TransactionsExecuteEverywhereIdentically) {
   for (uint64_t t = 0; t < 10; ++t) {
-    apps_[0]->SubmitTransaction(t, EncodeTransfer(1, 2, 10));
+    app(0).SubmitTransaction(t, EncodeTransfer(1, 2, 10));
   }
-  for (auto& app : apps_) {
-    app->Start();
-  }
-  scheduler_.RunUntil(Seconds(2));
+  StartAndRunUntil(Seconds(2));
   for (NodeId id = 0; id < kNodes; ++id) {
-    EXPECT_EQ(apps_[id]->execution().ExecutedTxs(), 10u) << "node " << id;
-    EXPECT_EQ(apps_[id]->execution().BalanceOf(1), 1'000'000u - 100u);
-    EXPECT_EQ(apps_[id]->execution().BalanceOf(2), 1'000'000u + 100u);
+    EXPECT_EQ(app(id).execution().ExecutedTxs(), 10u) << "node " << id;
+    EXPECT_EQ(app(id).execution().BalanceOf(1), 1'000'000u - 100u);
+    EXPECT_EQ(app(id).execution().BalanceOf(2), 1'000'000u + 100u);
   }
-  const Digest reference = apps_[0]->execution().StateDigest();
+  const Digest reference = app(0).execution().StateDigest();
   for (NodeId id = 1; id < kNodes; ++id) {
-    EXPECT_EQ(apps_[id]->execution().StateDigest(), reference);
+    EXPECT_EQ(app(id).execution().StateDigest(), reference);
   }
 }
 
 TEST_F(AppNodeSimTest, ConcurrentSubmittersAllExecute) {
   for (NodeId id = 0; id < kNodes; ++id) {
     for (uint64_t t = 0; t < 5; ++t) {
-      apps_[id]->SubmitTransaction(id * 100 + t, EncodeTransfer(3, 4, 1));
+      app(id).SubmitTransaction(id * 100 + t, EncodeTransfer(3, 4, 1));
     }
   }
-  for (auto& app : apps_) {
-    app->Start();
-  }
-  scheduler_.RunUntil(Seconds(2));
+  StartAndRunUntil(Seconds(2));
   for (NodeId id = 0; id < kNodes; ++id) {
-    EXPECT_EQ(apps_[id]->execution().ExecutedTxs(), 20u) << "node " << id;
+    EXPECT_EQ(app(id).execution().ExecutedTxs(), 20u) << "node " << id;
   }
 }
 
 TEST_F(AppNodeSimTest, OrderedVerticesCount) {
-  for (auto& app : apps_) {
-    app->Start();
+  StartAndRunUntil(Seconds(1));
+  EXPECT_GT(app(0).OrderedVertices(), 10u);
+}
+
+// Two clans of four (node i in clan i % 2): transactions proposed by a clan-0
+// node execute on clan 0 only, identically on each of its members.
+TEST(ClusterTest, MultiClanExecutesOnlyInProposersClan) {
+  Cluster::Options options;
+  options.num_nodes = 8;
+  options.clans = 2;
+  options.setup = [](NodeId id, Cluster::NodeSetup& setup) {
+    if (id == 0) {
+      for (uint64_t t = 0; t < 10; ++t) {
+        setup.preload.emplace_back(t, EncodeTransfer(1, 2, 10));
+      }
+    }
+  };
+  Cluster cluster(std::move(options));
+  ASSERT_EQ(cluster.topology().num_clans(), 2u);
+  cluster.Start();
+  cluster.scheduler().RunUntil(Seconds(3));
+  const Digest reference = cluster.app(0).execution().StateDigest();
+  for (NodeId id = 0; id < 8; ++id) {
+    const bool in_clan = cluster.topology().ClanIndexOf(id) == 0;
+    EXPECT_EQ(cluster.app(id).execution().ExecutedTxs(), in_clan ? 10u : 0u) << "node " << id;
+    if (in_clan) {
+      EXPECT_EQ(cluster.app(id).execution().StateDigest(), reference) << "node " << id;
+    }
   }
-  scheduler_.RunUntil(Seconds(1));
-  EXPECT_GT(apps_[0]->OrderedVertices(), 10u);
 }
 
 }  // namespace

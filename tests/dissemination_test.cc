@@ -353,6 +353,40 @@ TEST(Dissemination, BelowFloorReadyDoesNotRecreateInstance) {
   EXPECT_EQ(cluster.events(1).blocks.size(), blocks);
 }
 
+TEST(Dissemination, PullRetryAfterPruneDoesNotRecreateInstance) {
+  // Pull requests are dropped, so node 3's pulls stay armed until their
+  // retry timers fire; by then the round is pruned, and the retries must
+  // find nothing to resume rather than bring back an empty instance.
+  const uint32_t n = 4;
+  DissemCluster cluster(n, ClanTopology::Full(n));
+  cluster.network().SetAdversary([](NodeId, NodeId, MsgType type, TimeMicros) {
+    return type == kConsBlockPullReq || type == kConsVertexPullReq ? kDropMessage : 0;
+  });
+  // Round 1: the block reaches only nodes 0..2, whose echoes complete the
+  // instance at node 3, which then pulls the block.
+  std::optional<BlockInfo> block;
+  Vertex with_block = cluster.MakeVertex(0, 1, &block);
+  cluster.runtime(0).Broadcast(kConsVertexVal, EncodeVertex(with_block));
+  for (NodeId to = 0; to < 3; ++to) {
+    cluster.runtime(0).Send(to, kConsBlock, EncodeBlock(*block));
+  }
+  // Round 2: the vertex body reaches only nodes 0..2, so node 3 hits the
+  // echo quorum without it and pulls the body.
+  Vertex bodyless = cluster.MakeVertex(1, 2, nullptr);
+  for (NodeId to = 0; to < 3; ++to) {
+    cluster.runtime(1).Send(to, kConsVertexVal, EncodeVertex(bodyless));
+  }
+  cluster.Run(Millis(100));
+  ASSERT_TRUE(cluster.dissem(3).HasCompleted(0, 1));
+  ASSERT_FALSE(cluster.dissem(3).HasBlock(0, 1));
+  ASSERT_FALSE(cluster.dissem(3).HasCompleted(1, 2));
+
+  cluster.dissem(3).PruneBelow(10);
+  ASSERT_EQ(cluster.dissem(3).NumInstances(), 0u);
+  cluster.Run(Millis(100) + 3 * DisseminationConfig{}.pull_retry);
+  EXPECT_EQ(cluster.dissem(3).NumInstances(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Tribe-assisted RBC (paper Definition 2, Figures 2 and 3) on the shipped
 // disseminator. The value m rides as a block payload: a clan member delivers

@@ -4,13 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
-#include "core/app_node.h"
+#include "core/cluster.h"
 #include "ingress/front_end.h"
 #include "ingress/load_gen.h"
-#include "sim/network.h"
 
 namespace clandag {
 namespace {
@@ -472,62 +470,42 @@ class IngressSimTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kNodes = 4;
 
-  IngressSimTest()
-      : keychain_(5, kNodes),
-        topology_(ClanTopology::Full(kNodes)),
-        network_(scheduler_, LatencyMatrix::Uniform(kNodes, Millis(5)), NetworkConfig{1e9, 0}) {
-    for (NodeId id = 0; id < kNodes; ++id) {
-      runtimes_.push_back(std::make_unique<SimRuntime>(network_, id));
-      AppNodeOptions options;
-      options.consensus.num_nodes = kNodes;
-      options.consensus.num_faults = 1;
-      options.consensus.round_timeout = Millis(500);
-      options.enable_ingress = true;
-      options.ingress.batcher.max_batch_wait = Millis(20);
-      AppNodeCallbacks callbacks;
-      callbacks.on_client_reply = [this, id](uint64_t, const ClientReplyMsg& reply) {
+  IngressSimTest() : cluster_(ClusterOptions()) {}
+
+  // Receipts gossip through the cluster: with the full topology every node
+  // executes every block, so every peer's receipt feeds every front end.
+  Cluster::Options ClusterOptions() {
+    Cluster::Options options;
+    options.num_nodes = kNodes;
+    options.sim_latency = Millis(5);
+    options.setup = [this](NodeId id, Cluster::NodeSetup& setup) {
+      setup.options.consensus.round_timeout = Millis(500);
+      setup.options.enable_ingress = true;
+      setup.options.ingress.batcher.max_batch_wait = Millis(20);
+      setup.callbacks.on_client_reply = [this, id](uint64_t, const ClientReplyMsg& reply) {
         replies_[id].push_back(reply);
       };
-      // Full topology: every node executes every block, so every peer's
-      // receipt feeds every front end (the sim harness plays the clan
-      // gossip role the TCP driver implements with kClientReply frames).
-      callbacks.on_receipt = [this, id](const ExecutionReceipt& receipt) {
-        for (NodeId peer = 0; peer < kNodes; ++peer) {
-          if (peer != id) {
-            apps_[peer]->OnExecutorReceipt(id, receipt);
-          }
-        }
-      };
-      apps_.push_back(std::make_unique<AppNode>(*runtimes_[id], keychain_, topology_, options,
-                                                std::move(callbacks)));
-      network_.RegisterHandler(id, apps_[id].get());
-    }
+    };
+    return options;
   }
 
-  Scheduler scheduler_;
-  Keychain keychain_;
-  ClanTopology topology_;
-  SimNetwork network_;
-  std::vector<std::unique_ptr<SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<AppNode>> apps_;
   std::vector<ClientReplyMsg> replies_[kNodes];
+  Cluster cluster_;
 };
 
 TEST_F(IngressSimTest, ClientRequestsCommitWithQuorumReceipts) {
-  for (auto& app : apps_) {
-    app->Start();
-  }
+  cluster_.Start();
   // Ten clients submit one request each to node 0.
-  scheduler_.ScheduleCallbackAt(Millis(1), [this] {
+  cluster_.scheduler().ScheduleCallbackAt(Millis(1), [this] {
     for (uint32_t c = 0; c < 10; ++c) {
       ClientRequestMsg msg;
       msg.client_id = c;
       msg.client_seq = 0;
       msg.payload = EncodeTransfer(1, 2, 1);
-      apps_[0]->SubmitClientRequest(msg.Encode());
+      cluster_.app(0).SubmitClientRequest(msg.Encode());
     }
   });
-  scheduler_.RunUntil(Seconds(3));
+  cluster_.scheduler().RunUntil(Seconds(3));
 
   size_t committed = 0;
   std::set<uint64_t> seen;
@@ -541,7 +519,7 @@ TEST_F(IngressSimTest, ClientRequestsCommitWithQuorumReceipts) {
   EXPECT_EQ(committed, 10u);
   // All nodes executed the same transactions exactly once.
   for (NodeId id = 0; id < kNodes; ++id) {
-    EXPECT_EQ(apps_[id]->execution().ExecutedTxs(), 10u) << "node " << id;
+    EXPECT_EQ(cluster_.app(id).execution().ExecutedTxs(), 10u) << "node " << id;
   }
 }
 

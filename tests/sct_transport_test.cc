@@ -14,9 +14,9 @@
 
 #include "common/bytes.h"
 #include "common/thread.h"
+#include "net/loopback_ports.h"
 #include "net/tcp_transport.h"
 #include "sct_test_util.h"
-#include "test_ports.h"
 #include "testing/sct/explore.h"
 
 namespace clandag {
@@ -41,7 +41,7 @@ TEST(SctTransport, SendersRaceLoopThenStopThenRestart) {
       {.strategy = Strategy::kRandomWalk,
        .seed = BaseSeed(),
        .schedules = 12 * DeepMultiplier()},
-      [base_port = test::FreeBasePort()] {
+      [base_port = FreeBasePort()] {
         TcpConfig cfg;
         cfg.id = 0;
         cfg.num_nodes = 2;  // Peer 1 never comes up: preconnect-buffer path.
@@ -89,7 +89,7 @@ TEST(SctTransport, SelfSendDeliversBeforeStop) {
       {.strategy = Strategy::kPct,
        .seed = BaseSeed(),
        .schedules = 8 * DeepMultiplier()},
-      [base_port = test::FreeBasePort()] {
+      [base_port = FreeBasePort()] {
         TcpConfig cfg;
         cfg.id = 0;
         cfg.num_nodes = 1;

@@ -15,14 +15,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/app_node.h"
-#include "sim/network.h"
+#include "recording_cluster.h"
 #include "sync/snapshot.h"
 #include "sync/wal.h"
 #include "sync/wal_vertex_store.h"
@@ -268,143 +265,7 @@ TEST_F(WalCutTest, CutToSnapshotBoundsReplay) {
 
 // ---- Integration: checkpointing cluster over the simulator ----
 
-using OrderLog = std::vector<std::pair<Round, NodeId>>;
-
-// Minimal simulated AppNode cluster with per-node WAL + snapshot store,
-// crash/restart via the zombie pattern, and install tracking: every
-// on_snapshot_installed event records the snapshot's order base and how many
-// live entries the node had emitted at that instant, so tests can align the
-// post-install stream against a reference log.
-class SnapCluster {
- public:
-  struct Options {
-    uint32_t n = 4;
-    TimeMicros round_timeout = Millis(300);
-    Round gc_depth = 16;
-    Round snapshot_interval = 4;
-    uint32_t txs_per_node = 300;
-  };
-
-  struct Install {
-    uint64_t order_count = 0;
-    size_t live_at_install = 0;
-  };
-
-  explicit SnapCluster(Options opts)
-      : opts_(opts),
-        keychain_(17, opts_.n),
-        topology_(ClanTopology::Full(opts_.n)),
-        network_(scheduler_, LatencyMatrix::Uniform(opts_.n, Millis(10)),
-                 NetworkConfig{1e9, 0}),
-        ordered_(opts_.n),
-        recovered_(opts_.n) {
-    for (NodeId id = 0; id < opts_.n; ++id) {
-      RemoveFiles(id);
-      runtimes_.push_back(std::make_unique<SimRuntime>(network_, id));
-      nodes_.push_back(MakeNode(id, *runtimes_[id], &ordered_[id]));
-      network_.RegisterHandler(id, nodes_[id].get());
-    }
-  }
-
-  ~SnapCluster() {
-    for (NodeId id = 0; id < opts_.n; ++id) {
-      RemoveFiles(id);
-    }
-  }
-
-  void StartAll() {
-    for (auto& node : nodes_) {
-      node->Start();
-    }
-  }
-
-  void RunUntil(TimeMicros t) { scheduler_.RunUntil(t); }
-  void Crash(NodeId id) { network_.SetCrashed(id, true); }
-
-  AppNode& Restart(NodeId id) {
-    zombies_.push_back(std::move(nodes_[id]));
-    zombie_runtimes_.push_back(std::move(runtimes_[id]));
-    runtimes_[id] = std::make_unique<SimRuntime>(network_, id);
-    restart_ordered_[id] = OrderLog{};
-    nodes_[id] = MakeNode(id, *runtimes_[id], &restart_ordered_[id]);
-    network_.RegisterHandler(id, nodes_[id].get());
-    network_.SetCrashed(id, false);
-    nodes_[id]->Start();
-    return *nodes_[id];
-  }
-
-  std::string SnapPath(NodeId id) const { return WalPath(id) + ".snap"; }
-  void DeleteSnapshots(NodeId id) {
-    std::remove(SnapPath(id).c_str());
-    std::remove((SnapPath(id) + ".prev").c_str());
-  }
-
-  AppNode& node(NodeId id) { return *nodes_[id]; }
-  const OrderLog& Ordered(NodeId id) const { return ordered_[id]; }
-  const OrderLog& RestartOrdered(NodeId id) { return restart_ordered_[id]; }
-  const RecoveryState& Recovered(NodeId id) const { return recovered_[id]; }
-  const std::vector<Install>& Installs(NodeId id) { return installs_[id]; }
-
-  SyncStats TotalSyncStats() {
-    SyncStats total;
-    for (auto& node : nodes_) {
-      total += node->sync_stats();
-    }
-    return total;
-  }
-
- private:
-  std::string WalPath(NodeId id) const {
-    return ::testing::TempDir() + "/clandag_snapc_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + "_" +
-           std::to_string(id) + ".wal";
-  }
-
-  void RemoveFiles(NodeId id) const {
-    std::remove(WalPath(id).c_str());
-    std::remove((WalPath(id) + ".snap").c_str());
-    std::remove((WalPath(id) + ".snap.prev").c_str());
-    std::remove((WalPath(id) + ".snap.tmp").c_str());
-  }
-
-  std::unique_ptr<AppNode> MakeNode(NodeId id, Runtime& runtime, OrderLog* log) {
-    AppNodeOptions options;
-    options.consensus.num_nodes = opts_.n;
-    options.consensus.num_faults = (opts_.n - 1) / 3;
-    options.consensus.round_timeout = opts_.round_timeout;
-    options.consensus.gc_depth = opts_.gc_depth;
-    options.wal_path = WalPath(id);
-    options.snapshot_interval_rounds = opts_.snapshot_interval;
-    AppNodeCallbacks callbacks;
-    callbacks.on_ordered = [log](const Vertex& v) { log->push_back({v.round, v.source}); };
-    callbacks.on_recovered = [this, id](const RecoveryState& state) {
-      recovered_[id] = state;
-    };
-    callbacks.on_snapshot_installed = [this, id, log](const SnapshotData& snap) {
-      installs_[id].push_back(Install{snap.order_count, log->size()});
-    };
-    auto node =
-        std::make_unique<AppNode>(runtime, keychain_, topology_, options, callbacks);
-    for (uint64_t i = 0; i < opts_.txs_per_node; ++i) {
-      node->SubmitTransaction(id * 100000 + i, Bytes(64, 0x5a));
-    }
-    return node;
-  }
-
-  Options opts_;
-  Scheduler scheduler_;
-  Keychain keychain_;
-  ClanTopology topology_;
-  SimNetwork network_;
-  std::vector<std::unique_ptr<SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<AppNode>> nodes_;
-  std::vector<std::unique_ptr<AppNode>> zombies_;
-  std::vector<std::unique_ptr<SimRuntime>> zombie_runtimes_;
-  std::vector<OrderLog> ordered_;
-  std::map<NodeId, OrderLog> restart_ordered_;
-  std::vector<RecoveryState> recovered_;
-  std::map<NodeId, std::vector<Install>> installs_;
-};
+using SnapCluster = RecordingCluster;
 
 TEST(SnapshotIntegration, RestartReplaysOnlyRecordsPastLastSnapshot) {
   SnapCluster::Options opts;

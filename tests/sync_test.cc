@@ -22,8 +22,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/app_node.h"
 #include "core/byzantine.h"
+#include "recording_cluster.h"
 #include "sim/network.h"
 #include "sync/recovery.h"
 #include "sync/sync_wire.h"
@@ -915,149 +915,7 @@ TEST_F(FetchResponderTest, MalformedRequestIgnored) {
 
 // ---- Integration: catch-up and crash recovery over the simulator ----
 
-using OrderLog = std::vector<std::pair<Round, NodeId>>;
-
-// A simulated AppNode cluster with per-node WALs, optional Byzantine
-// members, and crash/restart support (the crashed node's object is kept
-// alive as a zombie so its scheduled callbacks stay valid; the network
-// drops its traffic and its handler slot is re-pointed at the restarted
-// instance).
-class SyncCluster {
- public:
-  struct Options {
-    uint32_t n = 4;
-    TimeMicros round_timeout = Millis(300);
-    Round gc_depth = 12;
-    bool use_wal = true;
-    uint32_t txs_per_node = 300;
-    std::set<ByzantineBehavior> behaviors;
-    std::vector<NodeId> byzantine;
-    uint32_t withhold_keep = UINT32_MAX;
-  };
-
-  explicit SyncCluster(Options opts)
-      : opts_(std::move(opts)),
-        keychain_(17, opts_.n),
-        topology_(ClanTopology::Full(opts_.n)),
-        network_(scheduler_, LatencyMatrix::Uniform(opts_.n, Millis(10)),
-                 NetworkConfig{1e9, 0}),
-        ordered_(opts_.n),
-        recovered_(opts_.n) {
-    for (NodeId id = 0; id < opts_.n; ++id) {
-      std::remove(WalPath(id).c_str());
-      runtimes_.push_back(std::make_unique<SimRuntime>(network_, id));
-      nodes_.push_back(MakeNode(id, *runtimes_[id], &ordered_[id]));
-      network_.RegisterHandler(id, nodes_[id].get());
-    }
-  }
-
-  ~SyncCluster() {
-    for (NodeId id = 0; id < opts_.n; ++id) {
-      std::remove(WalPath(id).c_str());
-    }
-  }
-
-  void StartAll() {
-    for (auto& node : nodes_) {
-      node->Start();
-    }
-  }
-
-  void RunUntil(TimeMicros t) { scheduler_.RunUntil(t); }
-
-  void Crash(NodeId id) { network_.SetCrashed(id, true); }
-
-  // Replaces the crashed node with a fresh AppNode over the same identity
-  // and WAL; its live ordered stream lands in RestartOrdered(id).
-  AppNode& Restart(NodeId id) {
-    zombies_.push_back(std::move(nodes_[id]));
-    zombie_runtimes_.push_back(std::move(runtimes_[id]));
-    runtimes_[id] = std::make_unique<SimRuntime>(network_, id);
-    restart_ordered_[id] = OrderLog{};
-    nodes_[id] = MakeNode(id, *runtimes_[id], &restart_ordered_[id]);
-    network_.RegisterHandler(id, nodes_[id].get());
-    network_.SetCrashed(id, false);
-    nodes_[id]->Start();
-    return *nodes_[id];
-  }
-
-  AppNode& node(NodeId id) { return *nodes_[id]; }
-  SimNetwork& network() { return network_; }
-  const OrderLog& Ordered(NodeId id) const { return ordered_[id]; }
-  const OrderLog& RestartOrdered(NodeId id) { return restart_ordered_[id]; }
-  const RecoveryState& Recovered(NodeId id) const { return recovered_[id]; }
-
-  bool IsByzantine(NodeId id) const {
-    return std::find(opts_.byzantine.begin(), opts_.byzantine.end(), id) !=
-           opts_.byzantine.end();
-  }
-
-  SyncStats TotalSyncStats() {
-    SyncStats total;
-    for (auto& node : nodes_) {
-      total += node->sync_stats();
-    }
-    return total;
-  }
-
-  // The shared committed prefix: `a` and `b` must agree where they overlap.
-  static void ExpectPrefixConsistent(const OrderLog& a, const OrderLog& b) {
-    const size_t common = std::min(a.size(), b.size());
-    for (size_t i = 0; i < common; ++i) {
-      ASSERT_EQ(a[i], b[i]) << "order divergence at position " << i;
-    }
-  }
-
- private:
-  std::string WalPath(NodeId id) const {
-    return ::testing::TempDir() + "/clandag_sync_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + "_" +
-           std::to_string(id) + ".wal";
-  }
-
-  std::unique_ptr<AppNode> MakeNode(NodeId id, Runtime& sim_runtime, OrderLog* log) {
-    Runtime* runtime = &sim_runtime;
-    if (IsByzantine(id)) {
-      byz_runtimes_.push_back(
-          std::make_unique<ByzantineRuntime>(sim_runtime, opts_.behaviors));
-      byz_runtimes_.back()->SetWithholdKeep(opts_.withhold_keep);
-      runtime = byz_runtimes_.back().get();
-    }
-    AppNodeOptions options;
-    options.consensus.num_nodes = opts_.n;
-    options.consensus.num_faults = (opts_.n - 1) / 3;
-    options.consensus.round_timeout = opts_.round_timeout;
-    options.consensus.gc_depth = opts_.gc_depth;
-    if (opts_.use_wal) {
-      options.wal_path = WalPath(id);
-    }
-    AppNodeCallbacks callbacks;
-    callbacks.on_ordered = [log](const Vertex& v) { log->push_back({v.round, v.source}); };
-    callbacks.on_recovered = [this, id](const RecoveryState& state) {
-      recovered_[id] = state;
-    };
-    auto node =
-        std::make_unique<AppNode>(*runtime, keychain_, topology_, options, callbacks);
-    for (uint64_t i = 0; i < opts_.txs_per_node; ++i) {
-      node->SubmitTransaction(id * 100000 + i, Bytes(64, 0x5a));
-    }
-    return node;
-  }
-
-  Options opts_;
-  Scheduler scheduler_;
-  Keychain keychain_;
-  ClanTopology topology_;
-  SimNetwork network_;
-  std::vector<std::unique_ptr<SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<ByzantineRuntime>> byz_runtimes_;
-  std::vector<std::unique_ptr<AppNode>> nodes_;
-  std::vector<std::unique_ptr<AppNode>> zombies_;
-  std::vector<std::unique_ptr<SimRuntime>> zombie_runtimes_;
-  std::vector<OrderLog> ordered_;
-  std::map<NodeId, OrderLog> restart_ordered_;
-  std::vector<RecoveryState> recovered_;
-};
+using SyncCluster = RecordingCluster;
 
 // Drops every message addressed to `deaf` until `until` (the node keeps
 // sending: its round-0 vertex and timeout votes still reach the others).

@@ -14,11 +14,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/app_node.h"
 #include "core/byzantine.h"
+#include "core/cluster.h"
 #include "fault/oracles.h"
+#include "net/loopback_ports.h"
 #include "net/tcp_transport.h"
-#include "test_ports.h"
 
 namespace clandag {
 namespace {
@@ -55,7 +55,7 @@ TcpConfig MakeConfig(NodeId id, uint32_t n, uint16_t base_port) {
 // connect, not silently dropped (the seed transport dropped them).
 TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
   constexpr int kMsgs = 25;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[2];
   TcpRuntime node0(MakeConfig(0, 2, base_port), &handlers[0]);
   node0.Start();
@@ -94,7 +94,7 @@ TEST(TcpHardening, PreConnectSendsFlushOnFirstConnect) {
 // shows up in a drop counter — the conservation law, end to end.
 TEST(TcpHardening, PartitionHealReconcilesCounters) {
   constexpr int kDownSends = 40;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler h0;
   CountingHandler h1a;
   TcpRuntime node0(MakeConfig(0, 2, base_port), &h0);
@@ -138,7 +138,7 @@ TEST(TcpHardening, PartitionHealReconcilesCounters) {
 
 // The pre-connect buffer is bounded: oldest frames are evicted and counted.
 TEST(TcpHardening, PreConnectBufferBoundedOldestEvicted) {
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handler;
   TcpConfig config = MakeConfig(0, 2, base_port);
   config.max_preconnect_bytes = 512;  // A handful of frames.
@@ -160,7 +160,7 @@ TEST(TcpHardening, PreConnectBufferBoundedOldestEvicted) {
 // Dial retries back off exponentially: over one second against a dead peer,
 // a 20ms→200ms capped schedule attempts far fewer dials than flat-20ms would.
 TEST(TcpHardening, DialBackoffSlowsRetryStorm) {
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handler;
   TcpRuntime node0(MakeConfig(0, 2, base_port), &handler);
   node0.Start();
@@ -185,69 +185,38 @@ TEST(TcpChaos, ByzantineSuiteOverTcpPreservesSafety) {
   for (ByzantineBehavior behavior : kBehaviors) {
     constexpr uint32_t kNodes = 4;
     constexpr NodeId kByz = 1;
-    const uint16_t base_port = test::FreeBasePort();
-    Keychain keychain(99, kNodes);
-    ClanTopology topology = ClanTopology::Full(kNodes);
     SafetyOracle oracle(kNodes);
     oracle.SetFaulty(kByz, true);
-
-    struct Router : MessageHandler {
-      AppNode* app = nullptr;
-      void OnMessage(NodeId from, MsgType type, const Bytes& payload) override {
-        if (app != nullptr) {
-          app->OnMessage(from, type, payload);
-        }
-      }
-    };
-    std::vector<Router> routers(kNodes);
-    std::vector<std::unique_ptr<TcpRuntime>> nets(kNodes);
-    std::vector<std::unique_ptr<ByzantineRuntime>> byz(kNodes);
-    std::vector<std::unique_ptr<AppNode>> apps(kNodes);
     std::vector<std::atomic<uint64_t>> ordered(kNodes);
 
-    for (NodeId id = 0; id < kNodes; ++id) {
-      nets[id] = std::make_unique<TcpRuntime>(MakeConfig(id, kNodes, base_port),
-                                              &routers[id]);
-      Runtime* runtime = nets[id].get();
+    Cluster::Options options;
+    options.kind = Cluster::Kind::kTcp;
+    options.num_nodes = kNodes;
+    options.wrap = [behavior](NodeId id, RuntimeStack& stack) {
       if (id == kByz) {
-        byz[id] = std::make_unique<ByzantineRuntime>(*nets[id], std::set<ByzantineBehavior>{behavior});
-        runtime = byz[id].get();
+        stack.Push<ByzantineRuntime>(std::set<ByzantineBehavior>{behavior});
       }
-      AppNodeOptions options;
-      options.consensus.num_nodes = kNodes;
-      options.consensus.num_faults = 1;
-      options.consensus.round_timeout = Millis(500);
+    };
+    options.setup = [&ordered, &oracle](NodeId id, Cluster::NodeSetup& setup) {
+      setup.options.consensus.round_timeout = Millis(500);
       // Chaos coverage for the off-thread verification path: echo HMACs and
       // cert multisigs are checked on worker threads under real Byzantine
       // traffic, with in-order delivery back onto the loop thread.
-      options.verify_workers = 2;
-      AppNodeCallbacks callbacks;
+      setup.options.verify_workers = 2;
       auto* counter = &ordered[id];
-      callbacks.on_ordered = [counter, id, &oracle](const Vertex& v) {
+      setup.callbacks.on_ordered = [counter, id, &oracle](const Vertex& v) {
         counter->fetch_add(1);
         oracle.OnOrdered(id, v.round, v.source);
       };
-      callbacks.on_completed = [id, &oracle](const Vertex& v, const Digest& d) {
+      setup.callbacks.on_completed = [id, &oracle](const Vertex& v, const Digest& d) {
         oracle.OnCompleted(id, v.round, v.source, d);
       };
-      apps[id] = std::make_unique<AppNode>(*runtime, keychain, topology, options,
-                                           std::move(callbacks));
-      routers[id].app = apps[id].get();
-    }
-    for (auto& net : nets) {
-      net->Start();
-    }
-    for (auto& net : nets) {
-      ASSERT_TRUE(net->WaitConnected(Seconds(10)));
-    }
-    for (NodeId id = 0; id < kNodes; ++id) {
-      nets[id]->Post([&, id] {
-        for (uint64_t t = 0; t < 10; ++t) {
-          apps[id]->SubmitTransaction(id * 1000 + t, Bytes(32, 0x11));
-        }
-        apps[id]->Start();
-      });
-    }
+      for (uint64_t t = 0; t < 10; ++t) {
+        setup.preload.emplace_back(id * 1000 + t, Bytes(32, 0x11));
+      }
+    };
+    Cluster cluster(std::move(options));
+    ASSERT_TRUE(cluster.Start());
     // Run until every honest node ordered a healthy chunk of DAG.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
     bool done = false;
@@ -260,9 +229,7 @@ TEST(TcpChaos, ByzantineSuiteOverTcpPreservesSafety) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    for (auto& net : nets) {
-      net->Stop();
-    }
+    cluster.Stop();
     EXPECT_TRUE(done) << "behavior " << static_cast<int>(behavior)
                       << ": honest nodes did not make progress over TCP";
     EXPECT_EQ(oracle.Check(), "") << "behavior " << static_cast<int>(behavior);

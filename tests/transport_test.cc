@@ -9,11 +9,11 @@
 #include <mutex>
 #include <thread>
 
-#include "core/app_node.h"
+#include "core/cluster.h"
 #include "net/inproc_transport.h"
+#include "net/loopback_ports.h"
 #include "net/tcp_transport.h"
 #include "smr/execution.h"
-#include "test_ports.h"
 
 namespace clandag {
 namespace {
@@ -94,7 +94,7 @@ TEST(InProcCluster, ClockIsMonotonic) {
 
 TEST(TcpTransport, MeshConnectsAndDelivers) {
   constexpr uint32_t kNodes = 3;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -120,7 +120,7 @@ TEST(TcpTransport, MeshConnectsAndDelivers) {
 
 TEST(TcpTransport, LargeFrameRoundTrips) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -143,7 +143,7 @@ TEST(TcpTransport, LargeFrameRoundTrips) {
 }
 
 TEST(TcpTransport, SelfSendLoopsBack) {
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handler;
   TcpConfig config;
   config.id = 0;
@@ -157,7 +157,7 @@ TEST(TcpTransport, SelfSendLoopsBack) {
 }
 
 TEST(TcpTransport, ScheduleRunsOnLoopThread) {
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handler;
   TcpConfig config;
   config.id = 0;
@@ -222,7 +222,7 @@ TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
   constexpr uint32_t kNodes = 2;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 250;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -259,7 +259,7 @@ TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
 // never crash, and the eventfd stays valid for the object's whole lifetime.
 TEST(TcpTransport, StopWhileSendersRunning) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -299,7 +299,7 @@ TEST(TcpTransport, StopWhileSendersRunning) {
 // mesh must reconnect and deliver again.
 TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
   constexpr uint32_t kNodes = 2;
-  const uint16_t base_port = test::FreeBasePort();
+  const uint16_t base_port = FreeBasePort();
   CountingHandler handlers[kNodes];
   std::vector<std::unique_ptr<TcpRuntime>> nodes;
   for (NodeId id = 0; id < kNodes; ++id) {
@@ -353,60 +353,24 @@ TEST(TcpTransport, StartStopCyclesWithConcurrentSenders) {
 // client transactions and execute them identically.
 TEST(TcpTransport, FourNodeConsensusCommits) {
   constexpr uint32_t kNodes = 4;
-  const uint16_t base_port = test::FreeBasePort();
-  Keychain keychain(77, kNodes);
-  ClanTopology topology = ClanTopology::Full(kNodes);
-
-  std::vector<std::unique_ptr<AppNode>> apps(kNodes);
-  std::vector<std::unique_ptr<TcpRuntime>> nets(kNodes);
   std::vector<std::atomic<uint64_t>> executed(kNodes);
 
-  struct Router : MessageHandler {
-    AppNode* app = nullptr;
-    void OnMessage(NodeId from, MsgType type, const Bytes& payload) override {
-      if (app != nullptr) {
-        app->OnMessage(from, type, payload);
-      }
-    }
-  };
-  std::vector<Router> routers(kNodes);
-
-  for (NodeId id = 0; id < kNodes; ++id) {
-    TcpConfig config;
-    config.id = id;
-    config.num_nodes = kNodes;
-    config.base_port = base_port;
-    nets[id] = std::make_unique<TcpRuntime>(config, &routers[id]);
-  }
-  for (NodeId id = 0; id < kNodes; ++id) {
-    AppNodeOptions options;
-    options.consensus.num_nodes = kNodes;
-    options.consensus.num_faults = 1;
-    options.consensus.round_timeout = Seconds(5);
-    AppNodeCallbacks callbacks;
+  Cluster::Options options;
+  options.kind = Cluster::Kind::kTcp;
+  options.num_nodes = kNodes;
+  // Client transfers queued at every node before consensus starts.
+  options.setup = [&executed](NodeId id, Cluster::NodeSetup& setup) {
+    setup.options.consensus.round_timeout = Seconds(5);
     auto* counter = &executed[id];
-    callbacks.on_receipt = [counter](const ExecutionReceipt& r) {
+    setup.callbacks.on_receipt = [counter](const ExecutionReceipt& r) {
       counter->fetch_add(r.txs_executed);
     };
-    apps[id] = std::make_unique<AppNode>(*nets[id], keychain, topology, options,
-                                         std::move(callbacks));
-    routers[id].app = apps[id].get();
-  }
-  for (auto& net : nets) {
-    net->Start();
-  }
-  for (auto& net : nets) {
-    ASSERT_TRUE(net->WaitConnected(Seconds(10)));
-  }
-  // Submit client transfers at node 0, then start consensus everywhere.
-  for (NodeId id = 0; id < kNodes; ++id) {
-    nets[id]->Post([&, id] {
-      for (uint64_t t = 0; t < 20; ++t) {
-        apps[id]->SubmitTransaction(id * 1000 + t, EncodeTransfer(1, 2, 5));
-      }
-      apps[id]->Start();
-    });
-  }
+    for (uint64_t t = 0; t < 20; ++t) {
+      setup.preload.emplace_back(id * 1000 + t, EncodeTransfer(1, 2, 5));
+    }
+  };
+  Cluster cluster(std::move(options));
+  ASSERT_TRUE(cluster.Start());
   // Wait until every node executed all 80 submitted transactions.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   bool all_done = false;
@@ -420,13 +384,11 @@ TEST(TcpTransport, FourNodeConsensusCommits) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_TRUE(all_done) << "not all transactions executed in time";
-  for (auto& net : nets) {
-    net->Stop();
-  }
+  cluster.Stop();
   // All replicas applied the same state transitions.
-  const Digest reference = apps[0]->execution().StateDigest();
+  const Digest reference = cluster.app(0).execution().StateDigest();
   for (NodeId id = 1; id < kNodes; ++id) {
-    EXPECT_EQ(apps[id]->execution().StateDigest(), reference) << "node " << id;
+    EXPECT_EQ(cluster.app(id).execution().StateDigest(), reference) << "node " << id;
   }
 }
 

@@ -90,6 +90,16 @@ hmac-per-call-key
     Keychain (or an HmacKey, which caches both key schedules). The crypto
     layer defines the one-shot form and tests use it as the reference.
 
+appnode-assembly
+    AppNodes are built only by the cluster builder (src/core/cluster.cc):
+    no `std::make_unique` or `new` of an AppNode, and no
+    MessageHandler that holds an AppNode pointer and forwards OnMessage to
+    it, anywhere else in src/, bench/, examples/, tests/ or tools/. Each
+    hand-wired copy of the keychain/topology/runtime/start-order wiring
+    drifts from the others; harnesses hook into the builder's setup and
+    wrap callbacks instead. perfbench/ is not scanned (the benchmark keeps a
+    frozen copy of its wiring).
+
 A finding can be waived on its line with `// lint:allow(<rule-name>)` plus a
 reason; waivers are expected to be rare and reviewed.
 """
@@ -155,6 +165,18 @@ HMAC_CALL_RE = re.compile(r"\bHmacSha256\s*\(")
 HMAC_SCAN_DIRS = ("src", "bench", "examples", "perfbench", "tools")
 HMAC_EXEMPT_PREFIXES = ("src/crypto/", "tools/lint_fixtures/")
 CXX_SUFFIXES = {".h", ".cc", ".cpp"}
+
+# AppNode construction, qualified or not, outside the cluster builder.
+APPNODE_NEW_RE = re.compile(
+    r"\bmake_unique\s*<\s*(?:\w+::)*AppNode\s*>|\bnew\s+(?:\w+::)*AppNode\b")
+# A MessageHandler subclass: its body is then checked for AppNode forwarding.
+HANDLER_DECL_RE = re.compile(
+    r"\b(?:struct|class)\s+(\w+)\s*(?:final\s*)?:\s*(?:public\s+)?"
+    r"(?:\w+::)*MessageHandler\b")
+APPNODE_MEMBER_RE = re.compile(r"\bAppNode\s*[*&]")
+FORWARD_CALL_RE = re.compile(r"(?:->|\.)\s*OnMessage\s*\(")
+APPNODE_SCAN_DIRS = ("src", "bench", "examples", "tests", "tools")
+APPNODE_EXEMPT_PREFIXES = ("src/core/cluster.cc", "tools/lint_fixtures/")
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -232,6 +254,50 @@ class Linter:
                         "authenticate through Keychain or a cached HmacKey "
                         "(crypto/hmac.h)",
                         line)
+
+    # -- Rule: appnode-assembly ---------------------------------------------
+    def check_appnode_assembly(self, paths=None):
+        if paths is None:
+            paths = [p for top in APPNODE_SCAN_DIRS
+                     for p in sorted((self.root / top).rglob("*"))
+                     if p.suffix in CXX_SUFFIXES and p.is_file()]
+        for path in paths:
+            if _path_exempt(str(path.relative_to(self.root)),
+                            APPNODE_EXEMPT_PREFIXES):
+                continue
+            lines = path.read_text().splitlines()
+            code = [strip_comments(l) for l in lines]
+            for lineno, line in enumerate(code, 1):
+                if APPNODE_NEW_RE.search(line):
+                    self.report(
+                        "appnode-assembly", path, lineno,
+                        "AppNode built outside the cluster builder; use "
+                        "Cluster (core/cluster.h) with a setup/wrap hook",
+                        lines[lineno - 1])
+            for lineno, line in enumerate(code, 1):
+                decl = HANDLER_DECL_RE.search(line)
+                if not decl:
+                    continue
+                # The class body: from the first '{' to its matching '}'.
+                depth, body, started = 0, [], False
+                for later in code[lineno - 1:]:
+                    for ch in later:
+                        if ch == "{":
+                            depth += 1
+                            started = True
+                        elif ch == "}":
+                            depth -= 1
+                    body.append(later)
+                    if started and depth <= 0:
+                        break
+                text = "\n".join(body)
+                if APPNODE_MEMBER_RE.search(text) and FORWARD_CALL_RE.search(text):
+                    self.report(
+                        "appnode-assembly", path, lineno,
+                        f"'{decl.group(1)}' forwards messages to an AppNode: "
+                        f"the cluster builder already routes a transport to "
+                        f"the node built after it",
+                        lines[lineno - 1])
 
     # -- Rules: decode-bounds + decode-fuzz-coverage ------------------------
     def check_decoders(self):
@@ -426,12 +492,14 @@ class Linter:
         self.check_pool_capacity_contracts()
         self.check_threading_contracts()
         self.check_hmac_per_call_key()
+        self.check_appnode_assembly()
         return self.findings
 
 
 # Rules with fixtures, by the name their fixture files carry.
 FIXTURE_RULES = {
     "hmac_per_call_key": Linter.check_hmac_per_call_key,
+    "appnode_assembly": Linter.check_appnode_assembly,
 }
 
 
