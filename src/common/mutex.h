@@ -68,7 +68,6 @@ inline constexpr int kUnranked = -1;
 inline constexpr int kOracle = 10;      // fault/oracles.h safety+liveness
 inline constexpr int kInjector = 20;    // fault/injector.h plan state
 inline constexpr int kWorkPool = 40;    // common/work_pool.h job queue
-inline constexpr int kInprocLoop = 50;  // net/inproc NodeLoop mailbox
 inline constexpr int kBufferPool = 60;  // common/pool.h BufferPool free list
 inline constexpr int kControlArena = 70;  // common/pool.h control-block arena
 inline constexpr int kTcpCommand = 80;  // net/tcp command queue (leaf)

@@ -12,6 +12,11 @@ namespace clandag {
 
 namespace {
 
+// A vertex or block pull asks this many holders at once and, until the body
+// arrives, asks the next ones every kPullRetry.
+constexpr uint32_t kPullFanout = 2;
+constexpr TimeMicros kPullRetry = Millis(250);
+
 // Reusable scratch for the signed-message preimage of echo votes; one is
 // built per echo sent/verified, so a fresh heap buffer each time would show
 // up on the allocator profile. thread_local: verification may run on a
@@ -514,16 +519,16 @@ void VertexDisseminator::StartVertexPull(NodeId source, Round round) {
   req.source = source;
   req.round = round;
   auto req_bytes = EncodeToShared([&](Writer& w) { req.EncodeTo(w); });
-  for (uint32_t i = 0; i < config_.pull_fanout; ++i) {
+  for (uint32_t i = 0; i < kPullFanout; ++i) {
     NodeId target = holders[(inst.pull_rr + i) % holders.size()];
     if (target != runtime_.id()) {
       runtime_.Send(target, kConsVertexPullReq, req_bytes, req_bytes->size());
     }
   }
-  inst.pull_rr += config_.pull_fanout;
+  inst.pull_rr += kPullFanout;
   // The retry finds the instance rather than re-creating it: a pull that
   // outlives a PruneBelow of its round has nothing left to resume.
-  runtime_.Schedule(config_.pull_retry, [this, source, round] {
+  runtime_.Schedule(kPullRetry, [this, source, round] {
     if (FindInstance(source, round) != nullptr) {
       StartVertexPull(source, round);
     }
@@ -552,14 +557,14 @@ void VertexDisseminator::StartBlockPull(NodeId source, Round round) {
   req.source = source;
   req.round = round;
   auto req_bytes = EncodeToShared([&](Writer& w) { req.EncodeTo(w); });
-  for (uint32_t i = 0; i < config_.pull_fanout; ++i) {
+  for (uint32_t i = 0; i < kPullFanout; ++i) {
     NodeId target = holders[(inst.pull_rr + i) % holders.size()];
     if (target != runtime_.id()) {
       runtime_.Send(target, kConsBlockPullReq, req_bytes, req_bytes->size());
     }
   }
-  inst.pull_rr += config_.pull_fanout;
-  runtime_.Schedule(config_.pull_retry, [this, source, round] {
+  inst.pull_rr += kPullFanout;
+  runtime_.Schedule(kPullRetry, [this, source, round] {
     const Instance* retry_inst = FindInstance(source, round);
     if (retry_inst != nullptr && retry_inst->pulling_block &&
         !(retry_inst->block.has_value() && retry_inst->block_verified)) {

@@ -58,8 +58,6 @@ struct DisseminationConfig {
   // *time* through its CPU-cost hook, and burning host CPU on HMACs would
   // only slow the experiment down. Always on in tests and real transports.
   bool verify_signatures = true;
-  uint32_t pull_fanout = 2;
-  TimeMicros pull_retry = Millis(250);
   // Optional off-thread verification (common/work_pool.h). When set (and
   // verify_signatures is on), echo HMACs and certificate multisigs are
   // checked on the pool's workers and the remaining handler logic runs when

@@ -6,6 +6,13 @@
 #include "common/log.h"
 
 namespace clandag {
+namespace {
+
+// How many times the round timer re-arms while the node is stuck in one
+// round (see OnTimeout). Bounded so drained simulations reach idle.
+constexpr uint32_t kMaxTimeoutRebroadcasts = 64;
+
+}  // namespace
 
 SailfishNode::SailfishNode(Runtime& runtime, const Keychain& keychain,
                            const ClanTopology& topology, SailfishConfig config,
@@ -541,7 +548,7 @@ void SailfishNode::OnTimeout(Round round) {
     timeout_round_ = round;
     timeout_repeats_ = 0;
   }
-  if (++timeout_repeats_ <= config_.max_timeout_rebroadcasts) {
+  if (++timeout_repeats_ <= kMaxTimeoutRebroadcasts) {
     ScheduleTimeout(round);
   }
   if (!dag_.Has(round, LeaderOf(round)) && timeout_fired_.insert(round).second) {

@@ -64,13 +64,6 @@ struct SailfishConfig {
   // effective GC floor is additionally capped by the fetcher's oldest pinned
   // round, so in-flight repairs are never pruned out from under themselves.
   Round gc_depth = 64;
-  // How many times the round timer re-arms while the node is stuck in one
-  // round. Each repeat fire re-broadcasts this node's latest vertex and
-  // timeout vote (anti-entropy): real transports lose traffic across
-  // partitions and reconnects, and without a re-delivery path a healed
-  // cluster can stay wedged forever. Bounded so drained simulations reach
-  // idle; 0 restores the legacy one-shot timer.
-  uint32_t max_timeout_rebroadcasts = 64;
 
   uint32_t Quorum() const { return ByzantineQuorum(num_faults); }
 };

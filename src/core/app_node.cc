@@ -6,6 +6,12 @@
 #include "common/log.h"
 
 namespace clandag {
+namespace {
+
+// How often to re-check the block store for a stalled execution head.
+constexpr TimeMicros kExecutionPoll = Millis(50);
+
+}  // namespace
 
 AppNode::AppNode(Runtime& runtime, const Keychain& keychain, const ClanTopology& topology,
                  AppNodeOptions options, AppNodeCallbacks callbacks)
@@ -13,7 +19,7 @@ AppNode::AppNode(Runtime& runtime, const Keychain& keychain, const ClanTopology&
       topology_(topology),
       options_(options),
       callbacks_(std::move(callbacks)),
-      mempool_(Mempool::Options{options.max_txs_per_block}) {
+      mempool_(Mempool::Options{}) {
   if (options_.enable_ingress) {
     ingress_ = std::make_unique<IngressFrontEnd>(
         runtime_.id(), topology_.ClanQuorumFor(runtime_.id()), options_.ingress,
@@ -313,7 +319,7 @@ void AppNode::DrainExecutionQueue() {
       // pull protocol is already chasing it).
       if (!poll_armed_) {
         poll_armed_ = true;
-        runtime_.Schedule(options_.execution_poll, [this] {
+        runtime_.Schedule(kExecutionPoll, [this] {
           poll_armed_ = false;
           DrainExecutionQueue();
         });

@@ -1,10 +1,10 @@
 // AppNode: the library's top-level building block for applications.
 //
 // Wires a SailfishNode, a real Mempool, and an ExecutionEngine over any
-// Runtime (simulated, in-process, or TCP). Clients submit raw transactions;
-// the node proposes them (when its role allows), and — if it belongs to the
-// clan serving a proposer — executes ordered blocks in order and emits
-// receipts for client reply matching.
+// Runtime (simulated or TCP). Clients submit raw transactions; the node
+// proposes them (when its role allows), and — if it belongs to the clan
+// serving a proposer — executes ordered blocks in order and emits receipts
+// for client reply matching.
 //
 // Execution strictly follows the total order: an ordered vertex whose block
 // has not arrived yet (Byzantine-sender download path) stalls the execution
@@ -12,9 +12,9 @@
 //
 // Threading: an AppNode is owned by its Runtime's event-loop thread. All
 // entry points (OnMessage, SubmitTransaction, Start) must be invoked on that
-// thread — post them via TcpRuntime::Post / InProcCluster::Post from
-// elsewhere. Accessors like execution() are safe to read from a driver
-// thread only after Stop()/join of the transport.
+// thread — post them via TcpRuntime::Post from elsewhere. Accessors like
+// execution() are safe to read from a driver thread only after Stop()/join
+// of the transport.
 
 #ifndef CLANDAG_CORE_APP_NODE_H_
 #define CLANDAG_CORE_APP_NODE_H_
@@ -36,9 +36,6 @@ namespace clandag {
 
 struct AppNodeOptions {
   SailfishConfig consensus;
-  uint32_t max_txs_per_block = 1000;
-  // How often to re-check the block store for a stalled execution head.
-  TimeMicros execution_poll = Millis(50);
   // Non-empty = persist consensus output to this WAL and replay it on
   // Start(); the node then also serves committed history to catching-up
   // peers after the DAG pruned it.

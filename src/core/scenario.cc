@@ -170,10 +170,6 @@ ScenarioResult RunScenario(const ScenarioOptions& options) {
       result.error = "simulation exceeded max_sim_time";
       return result;
     }
-    if (options.max_events != 0 && scheduler.EventsProcessed() > options.max_events) {
-      result.error = "simulation exceeded max_events";
-      return result;
-    }
   }
 
   const uint64_t window_bytes = network.TotalBytesSent() - window_start_bytes;

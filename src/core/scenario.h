@@ -68,9 +68,8 @@ struct ScenarioOptions {
   // Fault injection: nodes crashed from the start (fail-stop).
   std::vector<NodeId> crashed;
 
-  // Safety valves.
-  TimeMicros max_sim_time = Seconds(3600);
-  uint64_t max_events = 0;  // 0 = unlimited.
+  // Safety valve; the benchmark's copy of the run loop reads it too.
+  TimeMicros max_sim_time = Seconds(3600);  // lint:allow(unset-knob): read by perfbench/.
 };
 
 struct ScenarioResult {

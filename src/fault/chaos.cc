@@ -16,6 +16,13 @@
 namespace clandag {
 namespace {
 
+// Transactions preloaded into each node's mempool when ingress is off.
+constexpr uint32_t kTxsPerNode = 100;
+// Rounds the honest commit frontier must advance after the plan heals.
+constexpr Round kMinPostHealProgress = 3;
+// Load-generator pump interval in ingress mode.
+constexpr TimeMicros kIngressPoll = Millis(10);
+
 // A simulated AppNode cluster driven by one FaultPlan. Crash and restart go
 // through the cluster builder's zombie pattern: a crashed node's objects stay
 // alive (its scheduled callbacks remain valid) but its oracle taps are
@@ -112,7 +119,7 @@ class ChaosCluster {
       }
     }
     const std::string liveness_err =
-        liveness_.Check(opts_.min_post_heal_progress, required);
+        liveness_.Check(kMinPostHealProgress, required);
     report.liveness_ok = liveness_err.empty();
     report.ok = report.safety_ok && report.liveness_ok;
     if (!report.ok) {
@@ -250,7 +257,7 @@ class ChaosCluster {
         }
       };
     } else {
-      for (uint64_t i = 0; i < opts_.txs_per_node; ++i) {
+      for (uint64_t i = 0; i < kTxsPerNode; ++i) {
         setup.preload.emplace_back(static_cast<uint64_t>(id) * 100000 + i, Bytes(64, 0x5a));
       }
     }
@@ -260,7 +267,7 @@ class ChaosCluster {
   // schedule whether or not the node is up; frames aimed at a crashed node
   // are simply lost in flight.
   void SchedulePump(NodeId id) {
-    scheduler_.ScheduleCallbackAt(scheduler_.Now() + opts_.ingress_poll, [this, id] {
+    scheduler_.ScheduleCallbackAt(scheduler_.Now() + kIngressPoll, [this, id] {
       std::vector<Bytes> frames = loadgens_[id]->Poll(scheduler_.Now());
       if (*active_[id]) {
         for (const Bytes& frame : frames) {

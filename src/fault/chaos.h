@@ -24,15 +24,12 @@ namespace clandag {
 
 struct ChaosOptions {
   TimeMicros round_timeout = Millis(300);
-  uint32_t txs_per_node = 100;
   bool use_wal = true;
   Round gc_depth = 32;
   // The run lasts until max(plan.horizon, HealTime() + post_heal_run).
   TimeMicros post_heal_run = Seconds(5);
-  // Rounds the honest commit frontier must advance after the plan heals.
-  Round min_post_heal_progress = 3;
   // Directory for per-node WAL files (empty = /tmp).
-  std::string wal_dir;
+  std::string wal_dir;  // lint:allow(unset-knob): a host path, like TcpConfig::host.
 
   // > 0 (and use_wal): every node checkpoints executed state + DAG frontier
   // each `snapshot_interval_rounds` committed rounds and compacts its WAL to
@@ -49,7 +46,6 @@ struct ChaosOptions {
   bool use_ingress = false;
   double ingress_load_tps = 300.0;        // Per-node offered load.
   uint32_t ingress_clients_per_node = 2000;
-  TimeMicros ingress_poll = Millis(10);   // Load-generator pump interval.
   TimeMicros ingress_batch_expiry = Seconds(2);
 };
 

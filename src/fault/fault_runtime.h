@@ -2,9 +2,9 @@
 // traffic to a shared FaultInjector.
 //
 // Stacks under a ByzantineRuntime and over any concrete transport
-// (SimRuntime, InProcCluster runtime, TcpRuntime), so one FaultPlan runs
-// unchanged over the simulator and over real sockets. Self-sends bypass
-// injection: loopback delivery is node-internal, not network traffic.
+// (SimRuntime, TcpRuntime), so one FaultPlan runs unchanged over the
+// simulator and over real sockets. Self-sends bypass injection: loopback
+// delivery is node-internal, not network traffic.
 //
 // Delayed deliveries ride the inner runtime's own timer (Schedule + Send),
 // so in the simulator they stay deterministic and on real transports they

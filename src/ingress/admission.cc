@@ -5,6 +5,13 @@
 #include "common/check.h"
 
 namespace clandag {
+namespace {
+
+// Retry hint attached to capacity rejections (rate rejections compute the
+// exact token refill time instead).
+constexpr TimeMicros kCapacityRetryAfter = Millis(50);
+
+}  // namespace
 
 AdmissionController::AdmissionController(AdmissionOptions options) : options_(options) {
   CLANDAG_CHECK(options_.tokens_per_sec > 0.0);
@@ -45,7 +52,7 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
   // fairness among clients.
   if (in_flight_bytes_ + bytes > options_.global_byte_budget) {
     ++stats_.rejected_capacity;
-    return {AdmitVerdict::kRejectCapacity, options_.capacity_retry_after};
+    return {AdmitVerdict::kRejectCapacity, kCapacityRetryAfter};
   }
 
   auto it = buckets_.find(client);
@@ -53,7 +60,7 @@ AdmitDecision AdmissionController::Admit(uint64_t client, size_t bytes, TimeMicr
     if (buckets_.size() >= options_.max_tracked_clients && !EvictIdle(now)) {
       // Table full of active clients: fail closed rather than grow.
       ++stats_.rejected_capacity;
-      return {AdmitVerdict::kRejectCapacity, options_.capacity_retry_after};
+      return {AdmitVerdict::kRejectCapacity, kCapacityRetryAfter};
     }
     it = buckets_.emplace(client, Bucket{options_.bucket_burst, now}).first;
   }

@@ -43,9 +43,6 @@ struct AdmissionOptions {
   double bucket_burst = 32.0;
   // Global cap on admitted-but-unresolved bytes.
   uint64_t global_byte_budget = 8u << 20;
-  // Retry hint attached to capacity rejections (rate rejections compute the
-  // exact token refill time instead).
-  TimeMicros capacity_retry_after = Millis(50);
   // A bucket that has been idle (and full) at least this long is evictable.
   TimeMicros idle_eviction = Seconds(10);
   size_t max_tracked_clients = kMaxTrackedClients;

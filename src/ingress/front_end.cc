@@ -15,7 +15,6 @@ IngressFrontEnd::IngressFrontEnd(NodeId self, uint32_t clan_quorum, IngressOptio
   ReplyRouterOptions router_options;
   router_options.clan_quorum = clan_quorum;
   router_options.batch_expiry = options.batch_expiry;
-  router_options.max_pending_batches = options.max_pending_batches;
   router_ = std::make_unique<ReplyRouter>(
       self, router_options,
       [this](uint64_t client, const ClientReplyMsg& reply) {

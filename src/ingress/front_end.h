@@ -41,7 +41,6 @@ struct IngressOptions {
   DedupOptions dedup;
   BatcherOptions batcher;
   TimeMicros batch_expiry = Seconds(10);
-  size_t max_pending_batches = kMaxPendingBatches;
 };
 
 struct IngressStats {

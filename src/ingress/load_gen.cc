@@ -47,7 +47,7 @@ void OpenLoopLoadGen::EmitFresh(TimeMicros now, std::vector<Bytes>& out) {
   }
   Bytes frame = request.Encode();
 
-  if (inflight_.size() < options_.max_inflight_tracked) {
+  if (inflight_.size() < kMaxInflightTracked) {
     Inflight inflight;
     inflight.first_sent = now;
     inflight.frame = frame;
@@ -69,7 +69,7 @@ std::vector<Bytes> OpenLoopLoadGen::Poll(TimeMicros now) {
   if (options_.offered_load_tps > 0) {
     while (next_arrival_ <= now && out.size() < kMaxFramesPerPoll) {
       if (rng_.NextDouble() < options_.burst_prob) {
-        for (uint32_t i = 0; i < options_.burst_size && out.size() < kMaxFramesPerPoll; ++i) {
+        for (uint32_t i = 0; i < kBurstFrames && out.size() < kMaxFramesPerPoll; ++i) {
           EmitFresh(now, out);
         }
       } else {
@@ -100,7 +100,7 @@ void OpenLoopLoadGen::ScheduleRetry(uint64_t packed_id, TimeMicros due, TimeMicr
     return;  // Untracked (table was full at first send); nothing to re-send.
   }
   if (it->second.attempts >= options_.max_retries ||
-      retries_.size() >= options_.max_pending_retries) {
+      retries_.size() >= kMaxPendingRetries) {
     ++stats_.gave_up;
     inflight_.erase(it);
     return;
@@ -122,7 +122,7 @@ void OpenLoopLoadGen::OnReply(const ClientReplyMsg& reply, TimeMicros now) {
       ++stats_.committed;
       auto it = inflight_.find(packed_id);
       if (it != inflight_.end()) {
-        if (latencies_.size() < options_.max_latency_samples) {
+        if (latencies_.size() < kMaxLatencySamples) {
           latencies_.push_back(now - it->second.first_sent);
         }
         inflight_.erase(it);

@@ -34,6 +34,8 @@ inline constexpr size_t kMaxPendingRetries = 1u << 14;
 inline constexpr size_t kMaxInflightTracked = 1u << 16;
 inline constexpr size_t kMaxLatencySamples = 1u << 20;
 inline constexpr size_t kMaxFramesPerPoll = 4096;
+// Frames in one burst arrival (see LoadGenOptions::burst_prob).
+inline constexpr uint32_t kBurstFrames = 32;
 
 struct LoadGenOptions {
   uint64_t seed = 1;
@@ -42,13 +44,9 @@ struct LoadGenOptions {
   double offered_load_tps = 1000.0;  // Mean arrival rate, frames/sec.
   uint32_t payload_bytes = 256;
   double zipf_skew = 3.0;    // 0 = uniform; larger concentrates on low ranks.
-  double burst_prob = 0.01;  // P(an arrival is a burst of burst_size frames).
-  uint32_t burst_size = 32;
+  double burst_prob = 0.01;  // P(an arrival is a burst of kBurstFrames frames).
   double dup_probe_prob = 0.002;  // P(impatient client re-sends last frame).
   uint32_t max_retries = 3;       // Give up on a request after this many.
-  size_t max_pending_retries = kMaxPendingRetries;
-  size_t max_inflight_tracked = kMaxInflightTracked;
-  size_t max_latency_samples = kMaxLatencySamples;
 };
 
 struct LoadGenStats {
@@ -77,7 +75,7 @@ class OpenLoopLoadGen {
 
   const LoadGenStats& stats() const { return stats_; }
   // First-send-to-commit latencies (includes retry delays), bounded by
-  // max_latency_samples.
+  // kMaxLatencySamples.
   const std::vector<TimeMicros>& LatencySamples() const { return latencies_; }
   size_t PendingRetries() const { return retries_.size(); }
   size_t InflightTracked() const { return inflight_.size(); }
@@ -99,15 +97,15 @@ class OpenLoopLoadGen {
   DetRng rng_;
   TimeMicros next_arrival_;
   std::vector<uint32_t> next_seq_;  // Fixed size num_clients (the population, bounded by options).
-  std::deque<Retry> retries_;             // Bounded by max_pending_retries.
+  std::deque<Retry> retries_;             // Bounded by kMaxPendingRetries.
   struct Inflight {
     TimeMicros first_sent = 0;
     Bytes frame;
     uint32_t attempts = 0;
   };
-  std::unordered_map<uint64_t, Inflight> inflight_;  // Bounded by max_inflight_tracked.
+  std::unordered_map<uint64_t, Inflight> inflight_;  // Bounded by kMaxInflightTracked.
   Bytes last_frame_;  // For dup probes.
-  std::vector<TimeMicros> latencies_;  // Bounded by max_latency_samples.
+  std::vector<TimeMicros> latencies_;  // Bounded by kMaxLatencySamples.
   LoadGenStats stats_;
 };
 

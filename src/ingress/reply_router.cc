@@ -13,14 +13,12 @@ ReplyRouter::ReplyRouter(NodeId self, ReplyRouterOptions options, ReplyFn reply_
       // The collector only ever tracks this node's own in-flight blocks, so
       // its cap mirrors the pending-batch cap (plus slack for receipts that
       // arrive before the local propose notification).
-      collector_(options.clan_quorum, options.max_pending_batches * 2) {
-  CLANDAG_CHECK(options_.max_pending_batches > 0);
-}
+      collector_(options.clan_quorum, kMaxPendingBatches * 2) {}
 
 void ReplyRouter::OnBatchProposed(Round round, std::vector<uint64_t> request_ids,
                                   size_t charged_bytes, TimeMicros now) {
   ExpireStale(now);
-  while (pending_.size() >= options_.max_pending_batches) {
+  while (pending_.size() >= kMaxPendingBatches) {
     // Cap hit: the oldest batch's outcome is declared unknown right now.
     Resolve(pending_.begin()->first, ClientReplyStatus::kExpired, nullptr);
   }

@@ -37,7 +37,6 @@ inline constexpr size_t kMaxPendingBatches = 64;
 struct ReplyRouterOptions {
   uint32_t clan_quorum = 1;  // f_c + 1 for this node's serving clan.
   TimeMicros batch_expiry = Seconds(10);
-  size_t max_pending_batches = kMaxPendingBatches;
 };
 
 struct ReplyRouterStats {
@@ -88,7 +87,7 @@ class ReplyRouter {
   ReplyFn reply_fn_;
   ReleaseFn release_fn_;
   ClientReplyCollector collector_;
-  std::map<Round, PendingBatch> pending_;  // Keyed by round; bounded by max_pending_batches.
+  std::map<Round, PendingBatch> pending_;  // Keyed by round; bounded by kMaxPendingBatches.
   ReplyRouterStats stats_;
 };
 

@@ -2,8 +2,8 @@
 //
 // A Runtime gives a node its identity, a clock, one-shot timers, and
 // point-to-point message delivery. The same consensus/RBC code runs over
-// the deterministic simulator (sim::SimRuntime), over in-process threads
-// (net::InProcCluster), and over real TCP sockets (net::TcpRuntime).
+// the deterministic simulator (sim::SimRuntime) and over real TCP sockets
+// (net::TcpRuntime).
 //
 // Message semantics: authenticated point-to-point channels (the paper's
 // model). Delivery is asynchronous; the simulator adds latency/bandwidth
@@ -15,10 +15,9 @@
 //
 // Threading: protocol code is single-threaded per node — OnMessage and every
 // Schedule() callback run on the node's one event-loop thread (the
-// simulator's driver thread, an InProcCluster node thread, or a TcpRuntime
-// loop thread). The threaded transports additionally allow Send() and
-// Schedule() to be called from any thread; the simulator is driver-thread
-// only.
+// simulator's driver thread or a TcpRuntime loop thread). TcpRuntime
+// additionally allows Send() and Schedule() to be called from any thread;
+// the simulator is driver-thread only.
 
 #ifndef CLANDAG_NET_RUNTIME_H_
 #define CLANDAG_NET_RUNTIME_H_

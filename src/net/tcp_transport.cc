@@ -28,6 +28,11 @@ constexpr uint32_t kHelloMagic = 0xc1a9da60;
 constexpr size_t kFrameHeader = 4;
 constexpr size_t kMaxFrame = 64u << 20;  // 64 MiB sanity bound.
 constexpr size_t kReadChunk = 64u << 10;  // Bytes of tail room per read().
+// Per-peer outbound queue bound: a frame that would push the queue past it is
+// dropped (newest-dropped, keeping the stream frame-aligned) and counted.
+constexpr size_t kMaxOutQueueBytes = 64u << 20;
+// Relative spread of every dial backoff (see TcpConfig::dial_retry).
+constexpr double kDialJitter = 0.2;
 
 void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
@@ -271,13 +276,12 @@ void TcpRuntime::BufferPreconnect(NodeId peer, OutFrame frame) {
 }
 
 bool TcpRuntime::EnqueueFrame(Conn& conn, OutFrame frame) {
-  if (config_.max_out_queue_bytes != 0 &&
-      conn.out_bytes + frame.size() > config_.max_out_queue_bytes) {
+  if (conn.out_bytes + frame.size() > kMaxOutQueueBytes) {
     n_queue_dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   conn.out_bytes += frame.size();
-  // Capped by max_out_queue_bytes above; deque chunk churn is amortized
+  // Capped by kMaxOutQueueBytes above; deque chunk churn is amortized
   // across the ~10 frames each 512-byte chunk holds.
   conn.out_queue.push_back(std::move(frame));  // NOLINT(clandag-hotpath-alloc)
   return true;
@@ -332,11 +336,8 @@ TimeMicros TcpRuntime::DialBackoff(NodeId peer) {
     delay *= 2;
   }
   delay = std::min(delay, cap);
-  if (config_.dial_jitter > 0.0) {
-    const double j = config_.dial_jitter;
-    delay = static_cast<uint64_t>(static_cast<double>(delay) *
-                                  (1.0 - j + 2.0 * j * rng_.NextDouble()));
-  }
+  delay = static_cast<uint64_t>(static_cast<double>(delay) *
+                                (1.0 - kDialJitter + 2.0 * kDialJitter * rng_.NextDouble()));
   return static_cast<TimeMicros>(std::max<uint64_t>(delay, 1));
 }
 

@@ -51,14 +51,13 @@ struct TcpConfig {
   NodeId id = 0;
   uint32_t num_nodes = 0;
   uint16_t base_port = 19000;
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  // lint:allow(unset-knob): a deployment address.
   // Initial delay before re-dialling a peer that is not up yet. Consecutive
-  // failures double the delay up to dial_retry_cap, with ±dial_jitter
-  // relative jitter so a cluster restarting in lockstep does not hammer a
+  // failures double the delay up to dial_retry_cap, with ±20% relative
+  // jitter (kDialJitter) so a cluster restarting in lockstep does not hammer a
   // recovering peer in synchronized waves.
   TimeMicros dial_retry = Millis(100);
   TimeMicros dial_retry_cap = Seconds(2);
-  double dial_jitter = 0.2;
   // Seed for the (deterministic) jitter RNG; mixed with the node id so every
   // node jitters differently from the same config.
   uint64_t seed = 1;
@@ -67,10 +66,6 @@ struct TcpConfig {
   // during partitions). Oldest frames are evicted on overflow — newer
   // consensus state supersedes older — and every eviction is counted.
   size_t max_preconnect_bytes = 4u << 20;
-  // Per-peer outbound queue bound (bytes); a frame that would exceed it is
-  // dropped (newest-dropped, keeping the stream frame-aligned) and counted.
-  // 0 = unbounded.
-  size_t max_out_queue_bytes = 64u << 20;
 };
 
 class TcpRuntime final : public Runtime {
@@ -184,7 +179,7 @@ class TcpRuntime final : public Runtime {
   // is down (mesh formation, partitions).
   CLANDAG_COLD void BufferPreconnect(NodeId peer, OutFrame frame) CLANDAG_REQUIRES(loop_role_);
   // Appends a payload frame to an established conn, enforcing
-  // max_out_queue_bytes (false = dropped and counted).
+  // kMaxOutQueueBytes (false = dropped and counted).
   CLANDAG_HOT bool EnqueueFrame(Conn& conn, OutFrame frame) CLANDAG_REQUIRES(loop_role_);
   // Routes one frame towards `to`: out-queue of the established connection,
   // or the pre-connect buffer while the link is down.

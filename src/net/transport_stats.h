@@ -30,7 +30,7 @@ struct TransportStats {
   // Buffered frames evicted (oldest-first) by the max_preconnect_bytes bound.
   uint64_t preconnect_dropped = 0;
   // Frames rejected because the peer's outbound queue hit
-  // max_out_queue_bytes (newest-dropped so the stream stays frame-aligned).
+  // kMaxOutQueueBytes (newest-dropped so the stream stays frame-aligned).
   uint64_t queue_dropped = 0;
   // Frames lost half-written when their connection died (cannot be resent on
   // a new stream without corrupting framing).

@@ -9,6 +9,15 @@
 #include "sync/wal.h"
 
 namespace clandag {
+namespace {
+
+// How many rounds below a requested vertex the ancestor walk may descend.
+constexpr Round kMaxAncestorDepth = 32;
+// Size of every snapshot chunk but the last.
+constexpr uint32_t kSnapshotChunkBytes = 64 * 1024;
+static_assert(kSnapshotChunkBytes <= kMaxSnapshotChunkBytes);
+
+}  // namespace
 
 FetchResponder::FetchResponder(Runtime& runtime, const DagStore& dag, ResponderConfig config)
     : runtime_(runtime), dag_(dag), config_(config) {}
@@ -50,7 +59,7 @@ void FetchResponder::OnRequest(NodeId from, const Bytes& payload) {
       ++stats_.wal_vertices_served;
     }
     const Round floor =
-        want_round > config_.max_ancestor_depth ? want_round - config_.max_ancestor_depth : 0;
+        want_round > kMaxAncestorDepth ? want_round - kMaxAncestorDepth : 0;
     auto expand = [&](Round round, NodeId source) {
       if (round < msg->low_watermark || round < floor) {
         return;
@@ -96,7 +105,7 @@ void FetchResponder::OfferSnapshot(NodeId to, const SnapshotServeState& snap,
   offer.last_committed = snap.last_committed;
   offer.order_count = snap.order_count;
   offer.total_bytes = snap.bytes.size();
-  offer.chunk_size = std::min(config_.snapshot_chunk_size, kMaxSnapshotChunkBytes);
+  offer.chunk_size = kSnapshotChunkBytes;
   offer.total_checksum = snap.checksum;
   ++stats_.snapshot_offers_sent;
   runtime_.Send(to, kSyncSnapshotOffer, offer.Encode());
@@ -117,7 +126,7 @@ void FetchResponder::OnSnapshotChunkRequest(NodeId from, const Bytes& payload) {
     }
     return;
   }
-  const uint32_t chunk_size = std::min(config_.snapshot_chunk_size, kMaxSnapshotChunkBytes);
+  const uint32_t chunk_size = kSnapshotChunkBytes;
   const uint64_t begin = static_cast<uint64_t>(msg->chunk_index) * chunk_size;
   if (begin >= snap->bytes.size()) {
     return;

@@ -35,10 +35,6 @@ namespace clandag {
 struct ResponderConfig {
   // Max vertex bodies in one response (also bounds the ancestor walk).
   uint32_t max_vertices_per_response = 256;
-  // How many rounds below a requested vertex the ancestor walk may descend.
-  Round max_ancestor_depth = 32;
-  // Chunk size for snapshot transfers (capped at kMaxSnapshotChunkBytes).
-  uint32_t snapshot_chunk_size = 64 * 1024;
 };
 
 class FetchResponder {

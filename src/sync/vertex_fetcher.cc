@@ -7,6 +7,21 @@
 #include "sync/wal.h"
 
 namespace clandag {
+namespace {
+
+// First-request delay for parents discovered from a fetched vertex (the
+// node is actively catching up; no reason to wait out the grace period).
+constexpr TimeMicros kResponseFastDelay = Millis(20);
+// Wants carried by one kFetchRequest (the timed one plus piggybacked others).
+constexpr uint32_t kMaxWantsPerRequest = 64;
+// Snapshot catch-up: a chunk is re-requested after this timeout plus the
+// usual backoff, the transfer is abandoned after kMaxSnapshotChunkAttempts
+// misses of one chunk, and offers above kMaxAcceptedSnapshotBytes are refused.
+constexpr TimeMicros kSnapshotChunkTimeout = Millis(800);
+constexpr uint32_t kMaxSnapshotChunkAttempts = 8;
+constexpr uint64_t kMaxAcceptedSnapshotBytes = 64ull << 20;
+
+}  // namespace
 
 VertexFetcher::VertexFetcher(Runtime& runtime, const DagStore& dag, FetcherConfig config)
     : runtime_(runtime),
@@ -61,9 +76,7 @@ void VertexFetcher::Register(Round round, NodeId source, const Digest& expected)
   it->second.expected = expected;
   // Deterministic per-key rotation offset spreads first requests over peers.
   it->second.peer_rr = static_cast<uint32_t>(runtime_.id() + round + source);
-  if (config_.enabled) {
-    ArmTimer(round, source, in_response_ ? config_.response_fast_delay : config_.initial_delay);
-  }
+  ArmTimer(round, source, in_response_ ? kResponseFastDelay : config_.initial_delay);
 }
 
 void VertexFetcher::ArmTimer(Round round, NodeId source, TimeMicros delay) {
@@ -114,7 +127,7 @@ void VertexFetcher::SendRequest(const Key& key, Missing& entry) {
   // Opportunistically piggyback other outstanding wants (their own timers
   // and attempt counters are untouched; an early answer just resolves them).
   for (const auto& [other, unused] : missing_) {
-    if (req.wants.size() >= config_.max_wants_per_request) {
+    if (req.wants.size() >= kMaxWantsPerRequest) {
       break;
     }
     if (other != key) {
@@ -164,7 +177,7 @@ void VertexFetcher::OnResponse(NodeId from, const Bytes& payload) {
 
 void VertexFetcher::OnSnapshotOffer(NodeId from, const Bytes& payload) {
   auto msg = SnapshotOfferMsg::Decode(payload);
-  if (!msg.has_value() || !config_.enabled || snapshot_deliver_ == nullptr) {
+  if (!msg.has_value() || snapshot_deliver_ == nullptr) {
     return;
   }
   if (snap_.has_value()) {
@@ -181,7 +194,7 @@ void VertexFetcher::OnSnapshotOffer(NodeId from, const Bytes& payload) {
   if (msg->last_committed <= watermark) {
     return;  // Stale offer: normal fetch already covers this gap.
   }
-  if (msg->total_bytes > config_.snapshot_max_bytes) {
+  if (msg->total_bytes > kMaxAcceptedSnapshotBytes) {
     CLANDAG_WARN("node %u: rejecting oversized snapshot offer from %u (%llu bytes)",
                  runtime_.id(), from, static_cast<unsigned long long>(msg->total_bytes));
     return;
@@ -215,7 +228,7 @@ void VertexFetcher::RequestSnapshotChunk() {
   runtime_.Send(snap_->peer, kSyncSnapshotChunkRequest, req.Encode());
   const uint64_t gen = snap_gen_;
   const uint32_t chunk = snap_->next_chunk;
-  const TimeMicros backoff = config_.snapshot_chunk_timeout + NextBackoff(snap_->attempts);
+  const TimeMicros backoff = kSnapshotChunkTimeout + NextBackoff(snap_->attempts);
   runtime_.Schedule(backoff, [this, gen, chunk] { OnSnapshotTimer(gen, chunk); });
 }
 
@@ -223,7 +236,7 @@ void VertexFetcher::OnSnapshotTimer(uint64_t gen, uint32_t chunk) {
   if (!snap_.has_value() || gen != snap_gen_ || chunk != snap_->next_chunk) {
     return;  // Transfer finished, abandoned, or the chunk already arrived.
   }
-  if (++snap_->attempts > config_.snapshot_max_chunk_attempts) {
+  if (++snap_->attempts > kMaxSnapshotChunkAttempts) {
     CLANDAG_WARN("node %u: abandoning snapshot transfer seq %llu at chunk %u/%u", runtime_.id(),
                  static_cast<unsigned long long>(snap_->seq), chunk, snap_->chunk_count);
     snap_.reset();

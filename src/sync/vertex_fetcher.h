@@ -48,9 +48,6 @@
 namespace clandag {
 
 struct FetcherConfig {
-  // Off = pure missing-parent buffer (the pre-sync behaviour): vertices are
-  // held until their parents arrive by other means, nothing is requested.
-  bool enabled = true;
   // Grace period before the first request: the normal broadcast usually
   // delivers the parent within one RTT.
   TimeMicros initial_delay = Millis(400);
@@ -64,15 +61,7 @@ struct FetcherConfig {
   // Seed for the deterministic jitter RNG (mixed with the node id); tests
   // replay exact retry schedules from it.
   uint64_t seed = 1;
-  // First-request delay for parents discovered from a fetched vertex (the
-  // node is actively catching up; no reason to wait out the grace period).
-  TimeMicros response_fast_delay = Millis(20);
-  uint32_t max_wants_per_request = 64;
   uint32_t max_attempts = 16;
-  // Snapshot catch-up (accepting a responder's offer and pulling chunks).
-  TimeMicros snapshot_chunk_timeout = Millis(800);
-  uint32_t snapshot_max_chunk_attempts = 8;
-  uint64_t snapshot_max_bytes = 64ull << 20;
 };
 
 class VertexFetcher {

@@ -41,30 +41,26 @@ ExploreResult Explore(const ExploreOptions& options,
     pct_steps_estimate = std::max<uint64_t>(64, sched->steps());
     if (sched->failed()) {
       ++result.failures;
-      if (result.failures == 1) {
-        result.first_failure_schedule = i;
-        result.first_failure_seed = so.seed;
-        result.first_failure_message = sched->failure_message();
-        result.first_failure_trace = sched->FormatTrace();
-        if (!options.quiet) {
-          std::fprintf(stderr,
-                       "SCT: schedule %" PRIu64 " (strategy=%s seed=%" PRIu64
-                       ") failed: %s\n%sSCT: replay with ExploreOptions{"
-                       ".strategy = Strategy::k%s, .seed = %" PRIu64
-                       ", .schedules = 1}\n",
-                       i, StrategyName(so.strategy), so.seed,
-                       result.first_failure_message.c_str(),
-                       result.first_failure_trace.c_str(),
-                       so.strategy == Strategy::kPct
-                           ? "Pct"
-                           : (so.strategy == Strategy::kDfs ? "Dfs"
-                                                            : "RandomWalk"),
-                       so.seed);
-        }
+      result.first_failure_schedule = i;
+      result.first_failure_seed = so.seed;
+      result.first_failure_message = sched->failure_message();
+      result.first_failure_trace = sched->FormatTrace();
+      if (!options.quiet) {
+        std::fprintf(stderr,
+                     "SCT: schedule %" PRIu64 " (strategy=%s seed=%" PRIu64
+                     ") failed: %s\n%sSCT: replay with ExploreOptions{"
+                     ".strategy = Strategy::k%s, .seed = %" PRIu64
+                     ", .schedules = 1}\n",
+                     i, StrategyName(so.strategy), so.seed,
+                     result.first_failure_message.c_str(),
+                     result.first_failure_trace.c_str(),
+                     so.strategy == Strategy::kPct
+                         ? "Pct"
+                         : (so.strategy == Strategy::kDfs ? "Dfs"
+                                                          : "RandomWalk"),
+                     so.seed);
       }
-      if (options.stop_on_first_failure) {
-        break;
-      }
+      break;
     }
     if (options.strategy == Strategy::kDfs && !dfs.Advance()) {
       result.dfs_exhausted = true;

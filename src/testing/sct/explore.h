@@ -41,9 +41,10 @@ struct ExploreOptions {
   uint64_t seed = 1;
   // Maximum schedules to run. kDfs stops earlier if the space is exhausted.
   uint64_t schedules = 100;
-  int pct_depth = 2;
-  uint64_t max_steps = 200000;
-  bool stop_on_first_failure = true;
+  // See ScheduleOptions; a user hunting a deeper bug or a longer body raises
+  // them by hand. Exploration stops at the first failing schedule.
+  int pct_depth = 2;            // lint:allow(unset-knob): PCT's bug depth d.
+  uint64_t max_steps = 200000;  // lint:allow(unset-knob): the livelock report names it.
   // Suppress the stderr failure report (detection-power tests set this).
   bool quiet = false;
 };

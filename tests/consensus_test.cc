@@ -468,5 +468,24 @@ TEST(Sailfish, CertSuppressionModeCommits) {
   EXPECT_GE(cluster.node(0).LastCommittedRound(), 1);
 }
 
+// A node stuck in a round re-offers its latest VAL on every repeat of the
+// round timer, but the timer re-arms only 64 times per round: a node cut off
+// from every peer stops, and the simulator drains.
+TEST(Sailfish, IsolatedNodeRebroadcastsValAtMost64TimesThenDrains) {
+  SailfishCluster cluster{SailfishClusterOptions{}};
+  uint32_t vals_to_peer = 0;
+  cluster.network().SetAdversary([&](NodeId from, NodeId to, MsgType type, TimeMicros) {
+    if (from == 0 && to == 1 && type == kConsVertexVal) {
+      ++vals_to_peer;
+    }
+    return kDropMessage;
+  });
+  cluster.Start({1, 2, 3});
+  cluster.scheduler().RunUntilIdle(/*max_events=*/1000000);
+  EXPECT_TRUE(cluster.scheduler().Idle());
+  EXPECT_EQ(cluster.node(0).CurrentRound(), 0u);  // One stuck round.
+  EXPECT_EQ(vals_to_peer, 1u + 64u);              // The proposal, then 64 re-broadcasts.
+}
+
 }  // namespace
 }  // namespace clandag

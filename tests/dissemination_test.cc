@@ -383,7 +383,7 @@ TEST(Dissemination, PullRetryAfterPruneDoesNotRecreateInstance) {
 
   cluster.dissem(3).PruneBelow(10);
   ASSERT_EQ(cluster.dissem(3).NumInstances(), 0u);
-  cluster.Run(Millis(100) + 3 * DisseminationConfig{}.pull_retry);
+  cluster.Run(Millis(100) + 3 * Millis(250));  // Three pull-retry periods.
   EXPECT_EQ(cluster.dissem(3).NumInstances(), 0u);
 }
 

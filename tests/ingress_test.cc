@@ -173,6 +173,28 @@ TEST(Admission, ByteBudgetRejectsUntilReleased) {
   EXPECT_EQ(admission.InFlightBytes(), 60u);
 }
 
+TEST(Admission, FullClientTableRejectsNewClientsUntilOneIdles) {
+  AdmissionOptions options;
+  options.max_tracked_clients = 2;
+  options.idle_eviction = Seconds(1);
+  AdmissionController admission(options);
+  EXPECT_EQ(admission.Admit(1, 10, 0).verdict, AdmitVerdict::kAdmit);
+  EXPECT_EQ(admission.Admit(2, 10, 0).verdict, AdmitVerdict::kAdmit);
+  admission.Release(20);
+
+  // Both tracked clients are recent: the table fails closed with the
+  // capacity retry hint instead of growing.
+  const AdmitDecision full = admission.Admit(3, 10, Millis(10));
+  EXPECT_EQ(full.verdict, AdmitVerdict::kRejectCapacity);
+  EXPECT_EQ(full.retry_after, Millis(50));
+  EXPECT_EQ(admission.TrackedClients(), 2u);
+
+  // Once they have idled past idle_eviction, their buckets make room.
+  EXPECT_EQ(admission.Admit(3, 10, Seconds(2)).verdict, AdmitVerdict::kAdmit);
+  EXPECT_EQ(admission.stats().buckets_evicted, 2u);
+  EXPECT_EQ(admission.TrackedClients(), 1u);
+}
+
 // ---- ClientReplyCollector bounded-memory regression ----
 
 // Before the cap, the collector retained every (round, proposer) key it
@@ -371,7 +393,7 @@ TEST(IngressFrontEnd, MemoryBoundedAtTwiceSaturation) {
   EXPECT_LE(fe.admission().TrackedClients(), options.admission.max_tracked_clients);
   EXPECT_LE(fe.dedup().TrackedClients(), options.dedup.max_tracked_clients);
   EXPECT_LE(fe.batcher().ClosedCount(), options.batcher.max_closed_batches);
-  EXPECT_LE(fe.router().PendingBatches(), options.max_pending_batches);
+  EXPECT_LE(fe.router().PendingBatches(), kMaxPendingBatches);
 }
 
 // ---- OpenLoopLoadGen ----

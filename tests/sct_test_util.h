@@ -47,7 +47,7 @@ inline uint64_t DeepMultiplier() {
 }
 
 // Minimal mailbox event loop running on a scheduled thread — the SCT stand-in
-// for the inproc/TCP loop threads (which stay free-running under SCT because
+// for the TCP loop threads (which stay free-running under SCT because
 // they wait on real time). Post() enqueues a closure; Stop() drains the
 // queue and joins. Used to drive thread-confined components (ingress
 // Batcher, log) from a scheduled thread while other scheduled threads race.

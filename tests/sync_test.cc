@@ -755,18 +755,49 @@ TEST_F(VertexFetcherTest, ArrivalThroughBroadcastCancelsFetch) {
   EXPECT_EQ(fetcher.TakeAdmissible().size(), 1u);
 }
 
-TEST_F(VertexFetcherTest, DisabledFetcherBuffersWithoutRequesting) {
+TEST_F(VertexFetcherTest, RequestCarriesAtMost64Wants) {
   FetcherConfig config;
-  config.enabled = false;
+  config.initial_delay = Millis(10);
   VertexFetcher fetcher(runtime_, dag_, config);
+  // 70 blocked children, each missing a different parent.
+  for (Round r = 1; r <= 70; ++r) {
+    fetcher.AddBlocked(ChildOf(MakeVertex(r, 0), 1), Digest::Of(ToBytes("c")));
+  }
+  ASSERT_EQ(fetcher.MissingCount(), 70u);
 
-  Vertex parent = MakeVertex(1, 0);
-  fetcher.AddBlocked(ChildOf(parent, 1), Digest::Of(ToBytes("c")));
-  runtime_.AdvanceTo(Seconds(30));
-  EXPECT_TRUE(runtime_.sent.empty());  // Pure missing-parent buffer.
+  runtime_.AdvanceTo(Millis(11));
+  ASSERT_EQ(runtime_.sent.size(), 70u);  // One timed request per missing parent.
+  size_t widest = 0;
+  for (const auto& sent : runtime_.sent) {
+    ASSERT_EQ(sent.type, kSyncFetchRequest);
+    auto req = FetchRequestMsg::Decode(sent.payload);
+    ASSERT_TRUE(req.has_value());
+    widest = std::max(widest, req->wants.size());
+  }
+  EXPECT_EQ(widest, 64u);  // Piggybacking fills a request up to the cap, never past it.
+}
 
-  ASSERT_TRUE(dag_.Insert(parent));
-  EXPECT_EQ(fetcher.TakeAdmissible().size(), 1u);
+TEST_F(VertexFetcherTest, RefusesSnapshotOfferAbove64MiB) {
+  auto offer_of = [](uint64_t total_bytes) {
+    SnapshotOfferMsg offer;
+    offer.seq = 1;
+    offer.last_committed = 50;
+    offer.total_bytes = total_bytes;
+    offer.chunk_size = 1u << 20;
+    return offer.Encode();
+  };
+  VertexFetcher refusing(runtime_, dag_, FetcherConfig{});
+  refusing.SetSnapshotDeliver([](NodeId, SnapshotData) {});
+  refusing.OnSnapshotOffer(2, offer_of((64ull << 20) + 1));
+  EXPECT_FALSE(refusing.SnapshotTransferActive());
+  EXPECT_TRUE(runtime_.sent.empty());  // No chunk request.
+
+  VertexFetcher accepting(runtime_, dag_, FetcherConfig{});
+  accepting.SetSnapshotDeliver([](NodeId, SnapshotData) {});
+  accepting.OnSnapshotOffer(2, offer_of(64ull << 20));
+  EXPECT_TRUE(accepting.SnapshotTransferActive());
+  ASSERT_EQ(runtime_.sent.size(), 1u);
+  EXPECT_EQ(runtime_.sent[0].type, kSyncSnapshotChunkRequest);
 }
 
 TEST_F(VertexFetcherTest, PinsGcFloorAndPrunes) {

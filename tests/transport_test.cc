@@ -1,5 +1,5 @@
-// Real-transport tests: the in-process threaded cluster and the epoll TCP
-// mesh, including a small live consensus run over TCP on localhost.
+// Real-transport tests: the epoll TCP mesh, including a small live consensus
+// run over TCP on localhost.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/cluster.h"
-#include "net/inproc_transport.h"
 #include "net/loopback_ports.h"
 #include "net/tcp_transport.h"
 #include "smr/execution.h"
@@ -35,62 +34,6 @@ struct CountingHandler : MessageHandler {
                        [&] { return received.size() >= count; });
   }
 };
-
-TEST(InProcCluster, DeliversPointToPoint) {
-  InProcCluster cluster(3);
-  CountingHandler handlers[3];
-  for (NodeId id = 0; id < 3; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  cluster.Post(0, [&] { cluster.RuntimeOf(0).Send(1, 7, ToBytes("hello")); });
-  EXPECT_TRUE(handlers[1].WaitForCount(1));
-  EXPECT_EQ(handlers[1].received[0], (std::pair<NodeId, MsgType>{0, 7}));
-  cluster.Stop();
-}
-
-TEST(InProcCluster, BroadcastReachesEveryoneIncludingSelf) {
-  InProcCluster cluster(4);
-  CountingHandler handlers[4];
-  for (NodeId id = 0; id < 4; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  cluster.Post(2, [&] { cluster.RuntimeOf(2).Broadcast(9, ToBytes("to all")); });
-  for (NodeId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(handlers[id].WaitForCount(1)) << "node " << id;
-  }
-  cluster.Stop();
-}
-
-TEST(InProcCluster, TimersFire) {
-  InProcCluster cluster(1);
-  CountingHandler handler;
-  cluster.RegisterHandler(0, &handler);
-  cluster.Start();
-  std::atomic<bool> fired{false};
-  cluster.Post(0, [&] {
-    cluster.RuntimeOf(0).Schedule(Millis(20), [&] { fired.store(true); });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_TRUE(fired.load());
-  cluster.Stop();
-}
-
-TEST(InProcCluster, ClockIsMonotonic) {
-  InProcCluster cluster(1);
-  CountingHandler handler;
-  cluster.RegisterHandler(0, &handler);
-  cluster.Start();
-  std::atomic<TimeMicros> t1{0};
-  std::atomic<TimeMicros> t2{0};
-  cluster.Post(0, [&] { t1.store(cluster.RuntimeOf(0).Now()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  cluster.Post(0, [&] { t2.store(cluster.RuntimeOf(0).Now()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_GT(t2.load(), t1.load());
-  cluster.Stop();
-}
 
 TEST(TcpTransport, MeshConnectsAndDelivers) {
   constexpr uint32_t kNodes = 3;
@@ -185,39 +128,9 @@ bool WaitForType(CountingHandler& h, MsgType type, int timeout_ms = 5000) {
   });
 }
 
-// Cross-thread contract: Send() is callable from any thread. Hammer one
-// node's mailbox from several threads at once; every message must arrive.
-// Primarily a ThreadSanitizer target (CI job `tsan`).
-TEST(InProcCluster, SendFromManyThreads) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 250;
-  InProcCluster cluster(3);
-  CountingHandler handlers[3];
-  for (NodeId id = 0; id < 3; ++id) {
-    cluster.RegisterHandler(id, &handlers[id]);
-  }
-  cluster.Start();
-  std::vector<std::thread> senders;
-  for (int t = 0; t < kThreads; ++t) {
-    senders.emplace_back([&cluster, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        cluster.RuntimeOf(0).Send(1, static_cast<MsgType>(20 + t), ToBytes("m"));
-        if (i % 100 == 0) {
-          // Timers from foreign threads ride the same contract.
-          cluster.RuntimeOf(0).Schedule(Millis(1), [] {});
-        }
-      }
-    });
-  }
-  for (auto& th : senders) {
-    th.join();
-  }
-  EXPECT_TRUE(handlers[1].WaitForCount(kThreads * kPerThread, 20000));
-  cluster.Stop();
-}
-
-// Same contract over the TCP transport: concurrent Send() callers share the
-// command queue and the wake eventfd; nothing may be lost once connected.
+// Cross-thread contract: Send() is callable from any thread. Concurrent
+// Send() callers share the command queue and the wake eventfd; nothing may be
+// lost once connected. Primarily a ThreadSanitizer target (CI job `tsan`).
 TEST(TcpTransport, SendFromManyThreadsDeliversAll) {
   constexpr uint32_t kNodes = 2;
   constexpr int kThreads = 4;

@@ -2,7 +2,7 @@
 // block.
 //
 // Functions that REQUIRE a ThreadRole capability (CLANDAG_REQUIRES on
-// loop_role_ — the TCP loop, the in-process node loops) execute on a thread
+// loop_role_ — the TCP loop) execute on a thread
 // whose stall stalls every peer's view of this node. Inside such a function
 // (nested lambdas excluded — they run wherever their invoker runs), the
 // following are findings:

@@ -28,7 +28,7 @@ using Bytes = std::vector<uint8_t>;
 
 // Thread-role capability — what clandag-loop-blocking keys on. A function
 // annotated CLANDAG_REQUIRES(<ThreadRole member>) runs pinned to that
-// thread (the TCP loop, an in-process node loop).
+// thread (the TCP loop).
 class __attribute__((capability("role"))) ThreadRole {};
 
 // Mirror of common/mutex.h §13's rank table: kOracle / kInjector are the

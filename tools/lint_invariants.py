@@ -100,6 +100,15 @@ appnode-assembly
     wrap callbacks instead. perfbench/ is not scanned (the benchmark keeps a
     frozen copy of its wiring).
 
+unset-knob
+    Every field of a `struct *Config` / `*Options` in a src/ header must be
+    written in src/, bench/, examples/, tests/, tools/ or perfbench/: by an
+    assignment or designated initializer through `.` / `->`, or by a
+    positional `Foo{a, b}`. Copying another unset knob does not count.
+    Fields of config-struct type are skipped. A knob nobody turns is a
+    constant behind a config API, and the code only its other values reach
+    is untested: make it a named constant next to its user (caps as kMax*).
+
 A finding can be waived on its line with `// lint:allow(<rule-name>)` plus a
 reason; waivers are expected to be rare and reviewed.
 """
@@ -178,6 +187,19 @@ FORWARD_CALL_RE = re.compile(r"(?:->|\.)\s*OnMessage\s*\(")
 APPNODE_SCAN_DIRS = ("src", "bench", "examples", "tests", "tools")
 APPNODE_EXEMPT_PREFIXES = ("src/core/cluster.cc", "tools/lint_fixtures/")
 
+# unset-knob: the config structs, their fields, and every write to them.
+KNOB_STRUCT_RE = re.compile(r"^(\s*)struct\s+(\w*(?:Config|Options))\s*\{")
+KNOB_OUTER_RE = re.compile(r"^(?:class|struct)\s+(\w+)")
+KNOB_FIELD_RE = re.compile(
+    r"^(?!\s*(?:static|using|friend|enum|struct|class|return|typedef)\b)"
+    r"\s*(?:const\s+)?([^=;{}]*?[\w>*&])\s+(\w+)\s*(?:=[^;]*|\{[^;]*\})?;\s*$")
+KNOB_WRITE_RE = re.compile(
+    r"(\w+)?\s*(?:\.|->)\s*(\w+)\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)\s*([^;,)}]*)")
+KNOB_READ_RE = re.compile(r"^(?:\w+\s*(?:\.|->)\s*)*(\w+)\s*(?:\.|->)\s*(\w+)$")
+KNOB_DECL_RE = re.compile(r"\b(?:\w+::)*(\w+)\s*[&*]?\s+[&*]?(\w+)\s*[;,)={(\[]")
+KNOB_BRACE_RE = re.compile(r"\b((?:\w+::)*)(\w+)\s*(?:\w+\s*)?(?:=\s*)?\{([^{}]*)\}")
+KNOB_SCAN_DIRS = ("src", "bench", "examples", "tests", "tools", "perfbench")
+
 FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
 
 
@@ -185,6 +207,87 @@ def strip_comments(line: str) -> str:
     """Drops // comments; good enough for rule matching (no /* */ in repo style)."""
     idx = line.find("//")
     return line if idx < 0 else line[:idx]
+
+
+def collect_knobs(paths):
+    """The fields of every `struct *Config` / `*Options` in `paths`, in
+    declaration order; `outer` is the top-level class a nested struct is in."""
+    knobs = []
+    for path in paths:
+        lines, outer = path.read_text().splitlines(), None
+        for start, line in enumerate(lines):
+            outer = (m := KNOB_OUTER_RE.match(line)) and m.group(1) or outer
+            if not (struct := KNOB_STRUCT_RE.match(line)):
+                continue
+            depth = 0
+            for lineno, body in enumerate(lines[start:], start + 1):
+                code = strip_comments(body)
+                if depth == 1 and (field := KNOB_FIELD_RE.match(code)):
+                    knobs.append({
+                        "id": (str(path), start, field.group(2)), "path": path,
+                        "struct": struct.group(2), "name": field.group(2),
+                        "type": field.group(1).split("::")[-1], "lineno": lineno,
+                        "line": body, "outer": outer if struct.group(1) else None})
+                depth += code.count("{") - code.count("}")
+                if depth <= 0 and lineno > start + 1:
+                    break
+    return knobs
+
+
+def is_config_type(name):
+    return name.endswith(("Config", "Options"))
+
+
+def knob_writes(paths, knobs, written):
+    """`written` plus the ids of every knob some line of `paths` writes."""
+    by_name, sub_types = {}, {}
+    for k in knobs:
+        by_name.setdefault(k["name"], []).append(k)
+        if is_config_type(k["type"]):
+            sub_types.setdefault(k["name"], set()).add(k["type"])
+    structs = {k["struct"] for k in knobs}
+    written, copies = set(written), []
+    for path in paths:
+        lines = [strip_comments(l) for l in path.read_text().splitlines()]
+        decls = [(i, d.group(2), d.group(1)) for i, line in enumerate(lines)
+                 for d in KNOB_DECL_RE.finditer(line) if d.group(1) in structs]
+
+        def resolve(recv, name, at):
+            # `recv.name`, typed by recv's nearest declaration in this file,
+            # else by a config-typed field called recv; else any `name`.
+            seen = [(i, t) for i, v, t in decls if v == recv]
+            before = [s for s in seen if s[0] <= at]
+            types = ({max(before)[1]} if before else {t for _, t in seen}
+                     or sub_types.get(recv, set()))
+            named = by_name.get(name, [])
+            return {k["id"] for k in [k for k in named if k["struct"] in types] or named}
+
+        for i, line in enumerate(lines):
+            for w in KNOB_WRITE_RE.finditer(line):
+                if w.group(2) not in by_name:
+                    continue
+                targets = resolve(w.group(1), w.group(2), i)
+                read = KNOB_READ_RE.match(w.group(3).strip())
+                if read and read.group(2) in by_name:
+                    copies.append((targets, resolve(read.group(1), read.group(2), i)))
+                else:
+                    written |= targets
+            for b in KNOB_BRACE_RE.finditer(line):
+                qual, struct, args = b.group(1), b.group(2), b.group(3).strip()
+                if struct not in structs or not args or args.startswith("."):
+                    continue
+                count = 1 + re.sub(r"\([^()]*\)", "", args).count(",")
+                named = [k for k in knobs if k["struct"] == struct]
+                outer = qual[:-2].split("::")[-1] if qual else None
+                scoped = [k for k in named if k["outer"] == outer] or named
+                for sid in {k["id"][:2] for k in scoped}:
+                    fields = [k["id"] for k in scoped if k["id"][:2] == sid]
+                    written |= set(fields[:count])
+    while any(s & written and not t <= written for t, s in copies):
+        for t, s in copies:
+            if s & written:
+                written |= t
+    return written
 
 
 class Linter:
@@ -298,6 +401,29 @@ class Linter:
                         f"the cluster builder already routes a transport to "
                         f"the node built after it",
                         lines[lineno - 1])
+
+    # -- Rule: unset-knob ---------------------------------------------------
+    def check_unset_knobs(self, paths=None):
+        headers = paths
+        if paths is None:
+            headers = list(self.src_files({".h"}))
+            paths = [p for top in KNOB_SCAN_DIRS
+                     for p in sorted((self.root / top).rglob("*"))
+                     if p.suffix in CXX_SUFFIXES and p.is_file()
+                     and not _path_exempt(str(p.relative_to(self.root)),
+                                          ("tools/lint_fixtures/",))]
+        knobs = collect_knobs(headers)
+        # A waived knob is a real one, so copying it counts as a write.
+        waived = {k["id"] for k in knobs
+                  if "lint:allow(unset-knob)" in k["line"]}
+        written = knob_writes(paths, knobs, waived)
+        for k in knobs:
+            if k["id"] not in written and not is_config_type(k["type"]):
+                self.report(
+                    "unset-knob", k["path"], k["lineno"],
+                    f"{k['struct']}::{k['name']} is written by no caller; make "
+                    f"it a named constant next to its user (caps as kMax*)",
+                    k["line"])
 
     # -- Rules: decode-bounds + decode-fuzz-coverage ------------------------
     def check_decoders(self):
@@ -493,6 +619,7 @@ class Linter:
         self.check_threading_contracts()
         self.check_hmac_per_call_key()
         self.check_appnode_assembly()
+        self.check_unset_knobs()
         return self.findings
 
 
@@ -500,6 +627,7 @@ class Linter:
 FIXTURE_RULES = {
     "hmac_per_call_key": Linter.check_hmac_per_call_key,
     "appnode_assembly": Linter.check_appnode_assembly,
+    "unset_knob": Linter.check_unset_knobs,
 }
 
 
