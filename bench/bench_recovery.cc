@@ -13,7 +13,6 @@
 //   ./bench_recovery [--quick] [--out BENCH_recovery.json]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,8 +45,7 @@ RecoveryRow RunPoint(const std::string& mode, Round history_rounds) {
   std::vector<size_t> ordered(kNodes, 0);
   Cluster::Options options;
   options.num_nodes = kNodes;
-  const char* tmp = std::getenv("TMPDIR");
-  options.wal_dir = tmp != nullptr ? tmp : "/tmp";
+  options.wal_dir = TempDir();
   options.setup = [&ordered, &mode](NodeId id, Cluster::NodeSetup& setup) {
     setup.options.consensus.round_timeout = Millis(300);
     // Wide horizon: the bench measures replay cost, not snapshot catch-up, so

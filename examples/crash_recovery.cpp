@@ -8,7 +8,6 @@
 //   ./build/examples/crash_recovery
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -35,8 +34,7 @@ std::string WalDir(int argc, char** argv) {
       return argv[i + 1];
     }
   }
-  const char* tmp = std::getenv("TMPDIR");
-  return std::string(tmp != nullptr ? tmp : "/tmp") + "/clandag_crash_recovery";
+  return TempDir() + "/clandag_crash_recovery";
 }
 
 }  // namespace

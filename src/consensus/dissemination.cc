@@ -126,6 +126,17 @@ bool VertexDisseminator::HasCompleted(NodeId source, Round round) const {
   return inst != nullptr && inst->completed;
 }
 
+size_t VertexDisseminator::EchoSignatureCapacity(NodeId source, Round round) const {
+  const Instance* inst = FindInstance(source, round);
+  size_t total = 0;
+  if (inst != nullptr) {
+    for (const auto& entry : inst->echoes) {
+      total += entry.second.SignatureCapacity();
+    }
+  }
+  return total;
+}
+
 void VertexDisseminator::PruneBelow(Round round) {
   prune_floor_ = std::max(prune_floor_, round);
   for (auto it = instances_.begin(); it != instances_.end();) {
@@ -339,6 +350,9 @@ void VertexDisseminator::ProcessEcho(NodeId from, const RbcVoteMsg& msg) {
   }
   auto [it, inserted] = inst.echoes.try_emplace(msg.digest, config_.num_nodes);
   VoteTracker& tracker = it->second;
+  if (inserted && inst.awaiting_vertex) {
+    tracker.Seal();  // Past quorum: see OnQuorum.
+  }
   if (!tracker.Add(from, topology_.ReceivesBlocksOf(msg.sender, from), msg.sig)) {
     return;
   }
@@ -475,6 +489,12 @@ void VertexDisseminator::OnQuorum(NodeId source, Round round, Instance& inst,
                                   const Digest& digest) {
   if (inst.completed || inst.awaiting_vertex) {
     return;
+  }
+  // No certificate is built past quorum (the two-round flavour holds one by
+  // now), so free the echo signatures; the voters stay, since the pulls pick
+  // their holders from them.
+  for (auto& entry : inst.echoes) {
+    entry.second.Seal();
   }
   inst.decided_digest = digest;
   if (inst.vertex.has_value() && inst.vertex_digest == digest) {

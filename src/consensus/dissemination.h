@@ -102,6 +102,9 @@ class VertexDisseminator {
   bool HasCompleted(NodeId source, Round round) const;
   // Instances tracked, below-floor ones already pruned.
   size_t NumInstances() const { return instances_.size(); }
+  // Signatures' worth of storage held by an instance's echo trackers (for
+  // tests; 0 for an unknown instance).
+  size_t EchoSignatureCapacity(NodeId source, Round round) const;
 
   // Drops bookkeeping for instances below `round` (post-commit GC).
   void PruneBelow(Round round);

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.h"
 #include "common/quorum.h"
@@ -16,6 +17,11 @@ namespace {
 constexpr uint64_t kKeySeed = 17;
 
 }  // namespace
+
+std::string TempDir() {
+  const char* tmp = std::getenv("TMPDIR");
+  return tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
+}
 
 class Cluster::Router final : public MessageHandler {
  public:

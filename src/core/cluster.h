@@ -86,7 +86,7 @@ class Cluster {
     TimeMicros sim_latency = Millis(10);
     // Non-empty: every node persists to a WAL file in this directory (see
     // WalPath); the files are removed when the cluster is built and again
-    // when it is destroyed.
+    // when it is destroyed. TempDir() is the usual choice.
     std::string wal_dir;
     // kTcp: node i listens on base_port + i; 0 = a free loopback block.
     uint16_t base_port = 0;
@@ -156,6 +156,10 @@ class Cluster {
   // fault schedule.
   std::vector<NodeStack> zombies_;
 };
+
+// $TMPDIR, or /tmp when it is unset or empty: the scratch directory for WAL
+// files when a caller names none.
+std::string TempDir();
 
 }  // namespace clandag
 

@@ -142,7 +142,7 @@ class ChaosCluster {
     Cluster::Options options;
     options.num_nodes = plan_.num_nodes;
     if (opts_.use_wal) {
-      options.wal_dir = opts_.wal_dir.empty() ? "/tmp" : opts_.wal_dir;
+      options.wal_dir = opts_.wal_dir.empty() ? TempDir() : opts_.wal_dir;
     }
     options.wrap = [this](NodeId id, RuntimeStack& stack) {
       stack.Push<FaultInjectingRuntime>(injector_);

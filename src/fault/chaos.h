@@ -28,7 +28,7 @@ struct ChaosOptions {
   Round gc_depth = 32;
   // The run lasts until max(plan.horizon, HealTime() + post_heal_run).
   TimeMicros post_heal_run = Seconds(5);
-  // Directory for per-node WAL files (empty = /tmp).
+  // Directory for per-node WAL files (empty = TempDir(): $TMPDIR, or /tmp).
   std::string wal_dir;  // lint:allow(unset-knob): a host path, like TcpConfig::host.
 
   // > 0 (and use_wal): every node checkpoints executed state + DAG frontier

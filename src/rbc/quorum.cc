@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace clandag {
 
 bool VoteTracker::Add(NodeId voter, bool in_clan, std::optional<Signature> sig) {
@@ -12,7 +14,7 @@ bool VoteTracker::Add(NodeId voter, bool in_clan, std::optional<Signature> sig) 
   if (in_clan) {
     ++clan_count_;
   }
-  if (sig.has_value()) {
+  if (sig.has_value() && !sealed_) {
     if (sigs_.empty()) {
       sigs_.reserve(voters_.num_parties());
     }
@@ -33,6 +35,7 @@ std::vector<NodeId> VoteTracker::ClanVoters(const std::vector<NodeId>& clan) con
 }
 
 MultiSig VoteTracker::BuildCert() const {
+  CLANDAG_CHECK(!sealed_);
   // MultiSig::Aggregate wants parts aligned with signers.Ids() (id order);
   // votes arrive in network order, so sort a copy.
   std::vector<std::pair<NodeId, Signature>> sorted = sigs_;
@@ -46,6 +49,11 @@ MultiSig VoteTracker::BuildCert() const {
     parts.push_back(sig);
   }
   return MultiSig::Aggregate(signers, parts);
+}
+
+void VoteTracker::Seal() {
+  sealed_ = true;
+  std::vector<std::pair<NodeId, Signature>>().swap(sigs_);
 }
 
 }  // namespace clandag

@@ -16,7 +16,8 @@ namespace clandag {
 //
 // Signatures live in a flat append-only vector (the voter bitmap already
 // deduplicates), reserved once on the first signed vote — one allocation per
-// tracker instead of one map node per vote on the consensus hot path.
+// tracker instead of one map node per vote on the consensus hot path. Once the
+// certificate is built, or no longer needed, Seal() frees them.
 class VoteTracker {
  public:
   explicit VoteTracker(uint32_t num_nodes) : voters_(num_nodes) {}
@@ -32,12 +33,20 @@ class VoteTracker {
   // Voters from the clan, in id order (value-holders for pulls).
   std::vector<NodeId> ClanVoters(const std::vector<NodeId>& clan) const;
 
-  // Aggregates the retained signatures into a certificate.
+  // Aggregates the retained signatures into a certificate (must not be
+  // sealed).
   MultiSig BuildCert() const;
+
+  // Frees the retained signatures and stops retaining new ones. Voters and
+  // counts keep working; only BuildCert is gone.
+  void Seal();
+  // Signatures' worth of storage held (for tests).
+  size_t SignatureCapacity() const { return sigs_.capacity(); }
 
  private:
   SignerBitmap voters_;
   uint32_t clan_count_ = 0;
+  bool sealed_ = false;
   std::vector<std::pair<NodeId, Signature>> sigs_;  // Unsorted; BuildCert sorts.
 };
 

@@ -5,6 +5,12 @@
 // each slot's heap small and cache-resident while preserving exact
 // (timestamp, sequence) ordering. Events beyond the ring's horizon go to a
 // small overflow heap that is consulted alongside the ring.
+//
+// The horizon is longer than most runs, so a ring slot is rarely revisited:
+// a drained bucket's storage moves to a spare list as the cursor passes it,
+// and an empty bucket takes its storage from there on its first entry. The
+// queue thus retains about as much storage as it has events in flight,
+// not one entry for every event ever scheduled.
 
 #ifndef CLANDAG_SIM_MSG_QUEUE_H_
 #define CLANDAG_SIM_MSG_QUEUE_H_
@@ -38,7 +44,7 @@ class MsgCalendarQueue {
       overflow_.push(entry);
       return;
     }
-    std::vector<MsgQueueEntry>& v = ring_[bucket % kNumBuckets];
+    std::vector<MsgQueueEntry>& v = Bucket(bucket);
     v.push_back(entry);
     ++ring_count_;
     if (bucket == cur_ && cur_heapified_) {
@@ -48,6 +54,20 @@ class MsgCalendarQueue {
 
   bool empty() const { return count_ == 0; }
   size_t size() const { return count_; }
+
+  // Entries' worth of storage held by the ring and the spare list (the
+  // overflow heap is not counted). Walks every slot: for tests, not the
+  // event loop.
+  size_t RetainedCapacity() const {
+    size_t total = 0;
+    for (const std::vector<MsgQueueEntry>& v : ring_) {
+      total += v.capacity();
+    }
+    for (const std::vector<MsgQueueEntry>& v : spares_) {
+      total += v.capacity();
+    }
+    return total;
+  }
 
   // Earliest entry, if any.
   bool Peek(MsgQueueEntry& out) {
@@ -97,6 +117,26 @@ class MsgCalendarQueue {
 
   std::vector<MsgQueueEntry>& CurBucket() { return ring_[cur_ % kNumBuckets]; }
 
+  // The ring slot of `bucket`, given spare storage if it holds none.
+  std::vector<MsgQueueEntry>& Bucket(size_t bucket) {
+    std::vector<MsgQueueEntry>& v = ring_[bucket % kNumBuckets];
+    if (v.capacity() == 0 && !spares_.empty()) {
+      v.swap(spares_.back());
+      spares_.pop_back();
+    }
+    return v;
+  }
+
+  // Moves the drained cursor bucket's storage, if any, onto the spare list.
+  void ReleaseCurBucket() {
+    std::vector<MsgQueueEntry>& v = CurBucket();
+    if (v.capacity() > 0) {
+      // bounded: a storage block exists only while its slot holds entries or
+      // the cursor, so the spare list never outgrows kNumBuckets + 1.
+      spares_.emplace_back().swap(v);
+    }
+  }
+
   void AdvanceCursor() {
     if (ring_count_ == 0) {
       // Ring drained; if overflow items have come within a fresh horizon,
@@ -104,6 +144,7 @@ class MsgCalendarQueue {
       if (!overflow_.empty()) {
         const size_t bucket = static_cast<size_t>(overflow_.top().at / kBucketWidth);
         if (bucket > cur_) {
+          ReleaseCurBucket();
           cur_ = bucket;
           cur_heapified_ = false;
           DrainOverflowIntoRing();
@@ -112,6 +153,7 @@ class MsgCalendarQueue {
       return;
     }
     while (CurBucket().empty()) {
+      ReleaseCurBucket();
       ++cur_;
       cur_heapified_ = false;
     }
@@ -129,7 +171,7 @@ class MsgCalendarQueue {
       if (bucket >= cur_ + kNumBuckets) {
         break;
       }
-      ring_[bucket % kNumBuckets].push_back(overflow_.top());
+      Bucket(bucket).push_back(overflow_.top());
       ++ring_count_;
       overflow_.pop();
     }
@@ -138,6 +180,8 @@ class MsgCalendarQueue {
   }
 
   std::vector<std::vector<MsgQueueEntry>> ring_;
+  // Storage of drained buckets, each cleared, awaiting a slot's first entry.
+  std::vector<std::vector<MsgQueueEntry>> spares_;
   size_t cur_ = 0;
   bool cur_heapified_ = false;
   size_t ring_count_ = 0;

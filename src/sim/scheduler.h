@@ -1,10 +1,10 @@
 // Discrete-event scheduler.
 //
-// Two internal heaps: a callback heap for timers (few, std::function-based)
-// and a message heap for network deliveries (millions per simulated second
-// at n = 150, so kept as a compact POD-ish struct in a contiguous binary
-// heap). Events with equal timestamps fire in scheduling order via a global
-// sequence number, which keeps runs deterministic.
+// Two internal queues: a callback heap for timers (few, std::function-based)
+// and a calendar queue for network deliveries (millions per simulated second
+// at n = 150, so kept as compact entries indexing a slot pool; see
+// sim/msg_queue.h). Events with equal timestamps fire in scheduling order via
+// a global sequence number, which keeps runs deterministic.
 
 #ifndef CLANDAG_SIM_SCHEDULER_H_
 #define CLANDAG_SIM_SCHEDULER_H_

@@ -40,7 +40,7 @@ ExploreResult Explore(const ExploreOptions& options,
     // Feed the observed schedule length back into PCT change-point sampling.
     pct_steps_estimate = std::max<uint64_t>(64, sched->steps());
     if (sched->failed()) {
-      ++result.failures;
+      result.found = true;
       result.first_failure_schedule = i;
       result.first_failure_seed = so.seed;
       result.first_failure_message = sched->failure_message();

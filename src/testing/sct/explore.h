@@ -11,7 +11,7 @@
 //     t.join();
 //     SCT_ASSERT(f.consistent());
 //   });
-//   EXPECT_FALSE(result.found()) << result.first_failure_trace;
+//   EXPECT_FALSE(result.found) << result.first_failure_trace;
 //
 // Each schedule i runs with seed = options.seed + i and is a pure function
 // of (strategy, seed): re-running with ExploreOptions{.strategy, .seed =
@@ -51,15 +51,15 @@ struct ExploreOptions {
 
 struct ExploreResult {
   uint64_t schedules_run = 0;
-  uint64_t failures = 0;
+  // A schedule failed. Exploration stops there, so it is the first and only
+  // one, and the first_failure_* fields describe it.
+  bool found = false;
   uint64_t first_failure_schedule = 0;  // Index of the first failing schedule.
   uint64_t first_failure_seed = 0;      // Seed that replays it.
   std::string first_failure_message;
   std::string first_failure_trace;
   // kDfs only: the whole schedule space was enumerated.
   bool dfs_exhausted = false;
-
-  bool found() const { return failures > 0; }
 };
 
 // Runs `body` under up to options.schedules deterministic schedules.

@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "consensus/dissemination.h"
+#include "rbc/quorum.h"
 #include "rbc/wire.h"
 #include "sim/network.h"
 
@@ -385,6 +386,78 @@ TEST(Dissemination, PullRetryAfterPruneDoesNotRecreateInstance) {
   ASSERT_EQ(cluster.dissem(3).NumInstances(), 0u);
   cluster.Run(Millis(100) + 3 * Millis(250));  // Three pull-retry periods.
   EXPECT_EQ(cluster.dissem(3).NumInstances(), 0u);
+}
+
+TEST(VoteTracker, SealFreesSignaturesAndKeepsCounting) {
+  Keychain keychain(31, 4);
+  const Bytes message = {1, 2, 3};
+  VoteTracker tracker(4);
+  EXPECT_TRUE(tracker.Add(0, true, keychain.Sign(0, message)));
+  EXPECT_TRUE(tracker.Add(1, false, keychain.Sign(1, message)));
+  EXPECT_GT(tracker.SignatureCapacity(), 0u);
+
+  tracker.Seal();
+  EXPECT_EQ(tracker.SignatureCapacity(), 0u);
+  EXPECT_TRUE(tracker.Add(2, true, keychain.Sign(2, message)));
+  EXPECT_FALSE(tracker.Add(2, true, keychain.Sign(2, message)));  // Still deduplicated.
+  EXPECT_EQ(tracker.SignatureCapacity(), 0u);
+  EXPECT_EQ(tracker.Count(), 3u);
+  EXPECT_EQ(tracker.ClanCount(), 2u);
+  EXPECT_TRUE(tracker.Voted(2));
+  EXPECT_FALSE(tracker.Voted(3));
+  EXPECT_EQ(tracker.voters().Ids(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(tracker.ClanVoters({0, 2, 3}), (std::vector<NodeId>{0, 2}));
+}
+
+TEST(Dissemination, CompletedInstanceHoldsNoEchoSignatures) {
+  const uint32_t n = 7;
+  DissemCluster cluster(n, ClanTopology::SingleClanSpread(n, 4));
+  std::optional<BlockInfo> block;
+  Vertex v = cluster.MakeVertex(0, 1, &block);
+  cluster.dissem(0).Propose(v, block);
+  cluster.Run();
+  for (NodeId id = 0; id < n; ++id) {
+    ASSERT_TRUE(cluster.dissem(id).HasCompleted(0, 1)) << "node " << id;
+    EXPECT_EQ(cluster.dissem(id).EchoSignatureCapacity(0, 1), 0u) << "node " << id;
+  }
+}
+
+TEST(Dissemination, LateEchoWhileAwaitingVertexStoresNoSignature) {
+  // The body reaches only nodes 0..2 and every vertex pull is dropped, so
+  // node 3 reaches the echo quorum and then waits for the body.
+  const uint32_t n = 4;
+  DissemCluster cluster(n, ClanTopology::Full(n));
+  cluster.network().SetAdversary([](NodeId, NodeId, MsgType type, TimeMicros) {
+    return type == kConsVertexPullReq ? kDropMessage : 0;
+  });
+  Vertex v = cluster.MakeVertex(0, 1, nullptr);
+  for (NodeId to = 0; to < 3; ++to) {
+    cluster.runtime(0).Send(to, kConsVertexVal, EncodeVertex(v));
+  }
+  cluster.Run(Millis(100));
+  ASSERT_FALSE(cluster.dissem(3).HasCompleted(0, 1));
+  EXPECT_EQ(cluster.dissem(3).EchoSignatureCapacity(0, 1), 0u);
+
+  // Signed echoes from node 3 land after the quorum: one for the decided
+  // digest and one for another digest, which opens a new tracker.
+  auto echo_from_3 = [&](const Digest& digest) {
+    RbcVoteMsg echo;
+    echo.sender = 0;
+    echo.round = 1;
+    echo.digest = digest;
+    Writer w;
+    RbcVoteMsg::SignedMessageTo(w, kConsEcho, echo.sender, echo.round, echo.digest);
+    echo.sig = cluster.keychain().Sign(3, w.Take());
+    cluster.dissem(3).HandleMessage(3, kConsEcho, echo.Encode());
+  };
+  echo_from_3(Digest::Of(EncodeVertex(v)));
+  echo_from_3(Digest::Of(Bytes{9}));
+  EXPECT_EQ(cluster.dissem(3).EchoSignatureCapacity(0, 1), 0u);
+
+  // The sealed voters still name the holders the next pull asks.
+  cluster.network().SetAdversary([](NodeId, NodeId, MsgType, TimeMicros) { return 0; });
+  cluster.Run(Seconds(2));
+  EXPECT_TRUE(cluster.dissem(3).HasCompleted(0, 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ TEST(SctExplorer, DfsExhaustsTinyCaseAndSeesBothOrders) {
       << "two-thread/one-mutex space not exhausted in " << result.schedules_run
       << " schedules";
   EXPECT_GT(result.schedules_run, 1u);
-  EXPECT_EQ(result.failures, 0u) << result.first_failure_trace;
+  EXPECT_FALSE(result.found) << result.first_failure_trace;
   // Exhaustive enumeration must have covered both completion orders.
   EXPECT_TRUE(first_finishers.count(1) == 1 && first_finishers.count(2) == 1);
 }
@@ -154,7 +154,7 @@ TEST(SctFalsifiability, FindsSendVsStopRaceWithinBudget) {
           port.Stop();
           sender.join();
         });
-    EXPECT_TRUE(result.found())
+    EXPECT_TRUE(result.found)
         << sct::StrategyName(strategy)
         << " did not find the Send-vs-Stop race in 1000 schedules (base seed "
         << BaseSeed() << ")";
@@ -221,7 +221,7 @@ TEST(SctFalsifiability, FixedMissedNotifyShapeIsClean) {
         }
         producer.join();
       });
-  EXPECT_EQ(result.failures, 0u) << result.first_failure_trace;
+  EXPECT_FALSE(result.found) << result.first_failure_trace;
   EXPECT_TRUE(result.dfs_exhausted);
 }
 

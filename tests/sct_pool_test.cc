@@ -57,7 +57,7 @@ TEST(SctPool, RecycleVsShareRace) {
           // All buffers back home: nothing leaked mid-race.
           SCT_ASSERT(stats.free_count == stats.high_water);
         });
-    EXPECT_EQ(result.failures, 0u)
+    EXPECT_FALSE(result.found)
         << sct::StrategyName(strategy) << ": " << result.first_failure_message
         << "\n" << result.first_failure_trace;
   }
@@ -93,7 +93,7 @@ TEST(SctPool, OversizeBufferDiscardedAtCapBoundary) {
         SCT_ASSERT(stats.free_count + stats.reuses == 1);
         SCT_ASSERT(stats.retained_bytes <= BufferPool::kMaxPooledBufferBytes);
       });
-  EXPECT_EQ(result.failures, 0u)
+  EXPECT_FALSE(result.found)
       << result.first_failure_message << "\n" << result.first_failure_trace;
 }
 
@@ -125,7 +125,7 @@ TEST(SctPool, ArenaSlotRecycleUnderContention) {
         // the arena must not have fallen back to the heap.
         SCT_ASSERT(arena.heap_fallbacks() == fallbacks_before);
       });
-  EXPECT_EQ(result.failures, 0u)
+  EXPECT_FALSE(result.found)
       << result.first_failure_message << "\n" << result.first_failure_trace;
 }
 

@@ -69,7 +69,7 @@ TEST(SctWorkPool, InOrderDeliveryUnderAdversarialCompletion) {
             SCT_ASSERT(order[static_cast<size_t>(i)] == i);
           }
         });
-    EXPECT_EQ(result.failures, 0u)
+    EXPECT_FALSE(result.found)
         << sct::StrategyName(strategy) << ": " << result.first_failure_message
         << "\n" << result.first_failure_trace;
   }
@@ -107,7 +107,7 @@ TEST(SctWorkPool, BackpressureEdgeAndStopWhileDraining) {
           SCT_ASSERT(order[i] == static_cast<int>(i));
         }
       });
-  EXPECT_EQ(result.failures, 0u)
+  EXPECT_FALSE(result.found)
       << result.first_failure_message << "\n" << result.first_failure_trace;
 }
 
@@ -122,7 +122,7 @@ TEST(SctWorkPool, StopWithEmptyQueueIsClean) {
         // not yet started) when the destructor runs.
         OrderedVerifyPool pool({.num_workers = 2}, InlineExecutor());
       });
-  EXPECT_EQ(result.failures, 0u)
+  EXPECT_FALSE(result.found)
       << result.first_failure_message << "\n" << result.first_failure_trace;
 }
 

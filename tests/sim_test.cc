@@ -121,6 +121,38 @@ TEST(MsgCalendarQueue, MatchesReferenceUnderRandomWorkload) {
   EXPECT_TRUE(q.empty());
 }
 
+// A window of in-flight events slides across 12 000 distinct buckets: each
+// drained bucket's storage must be recycled, so the queue retains a small
+// multiple of the in-flight peak rather than one entry per event pushed.
+TEST(MsgCalendarQueue, RetainedCapacityTracksInFlightNotHistory) {
+  constexpr TimeMicros kBucket = 1024;  // MsgCalendarQueue's bucket width.
+  constexpr uint64_t kBuckets = 12000;
+  constexpr uint64_t kPerBucket = 4;
+  constexpr uint64_t kWindowBuckets = 64;
+  MsgCalendarQueue q;
+  uint64_t seq = 0;
+  uint64_t next_pop = 0;
+  size_t peak = 0;
+  size_t max_retained = 0;
+  for (uint64_t b = 0; b < kBuckets; ++b) {
+    for (uint64_t k = 0; k < kPerBucket; ++k) {
+      q.Push(MsgQueueEntry{static_cast<TimeMicros>(b) * kBucket + static_cast<TimeMicros>(k),
+                           seq++, 0});
+    }
+    peak = std::max(peak, q.size());
+    max_retained = std::max(max_retained, q.RetainedCapacity());
+    while (q.size() > kWindowBuckets * kPerBucket) {
+      ASSERT_EQ(q.Pop().seq, next_pop++);
+    }
+  }
+  while (!q.empty()) {
+    ASSERT_EQ(q.Pop().seq, next_pop++);
+  }
+  EXPECT_EQ(next_pop, kBuckets * kPerBucket);
+  EXPECT_LE(max_retained, 4 * peak) << "peak in flight " << peak;
+  EXPECT_LE(q.RetainedCapacity(), 4 * peak);
+}
+
 TEST(LatencyMatrix, UniformModel) {
   LatencyMatrix m = LatencyMatrix::Uniform(5, Millis(25));
   EXPECT_EQ(m.OneWay(0, 1), Millis(25));

@@ -10,8 +10,10 @@
 # Exit 0 = identical, 1 = some output differs (diff printed), 2 = usage or
 # build error. The base is exported with `git archive` into a scratch dir
 # under $TMPDIR, which also holds both builds and every output and is removed
-# on exit. JOBS sets build parallelism (default 2). Not a CI gate: a change
-# that means to alter behaviour is expected to differ.
+# on exit. JOBS sets build parallelism (default 2). CI runs it on every pull
+# request against the merge base (the `same-seed` job); a change that means
+# to alter modelled behaviour is expected to differ and carries the
+# `changes-behaviour` label, which skips that job.
 set -euo pipefail
 
 [[ $# -eq 1 ]] || { echo "usage: $0 <base-ref>" >&2; exit 2; }
